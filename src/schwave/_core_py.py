@@ -1,7 +1,9 @@
 """Pure-numpy stepping kernels; fallback when the compiled core is absent.
 
-The compiled twin (_core_cy) implements leapfrog_window with identical
-semantics; both are exercised by the test suite and the benchmark.
+The compiled twin (_core_c.c) implements leapfrog_window with the same
+semantics for p in backend.C_EXPONENTS, except that values below DBL_MIN
+may flush to zero; this module is its test oracle and runs every other p
+and every forced step.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Selects the stepping kernel: compiled Cython core or numpy fallback.
+"""Selects the stepping kernel: compiled C core or numpy fallback.
 
 The compiled extension is optional; if it failed to build (or the
 environment variable SCHWAVE_BACKEND=numpy forces the fallback) the pure
@@ -12,36 +12,44 @@ import os
 from . import _core_py
 
 try:  # pragma: no cover - depends on the build environment
-    from . import _core_cy
+    from . import _core_c
 except ImportError:  # pragma: no cover
-    _core_cy = None
+    _core_c = None
 
 _forced = os.environ.get("SCHWAVE_BACKEND", "").lower()
-if _forced not in ("", "numpy", "cython"):
-    raise RuntimeError(f"SCHWAVE_BACKEND must be 'numpy' or 'cython', got {_forced!r}")
-if _forced == "cython" and _core_cy is None:
-    raise RuntimeError("SCHWAVE_BACKEND=cython but the compiled core is unavailable")
+if _forced not in ("", "numpy", "c"):
+    raise RuntimeError(f"SCHWAVE_BACKEND must be 'numpy' or 'c', got {_forced!r}")
+if _forced == "c" and _core_c is None:
+    raise RuntimeError("SCHWAVE_BACKEND=c but the compiled core is unavailable")
 
-if _core_cy is not None and _forced != "numpy":
-    BACKEND = "cython"
-    _default = _core_cy.leapfrog_window
+if _core_c is not None and _forced != "numpy":
+    BACKEND = "c"
+    _default = _core_c.leapfrog_window
 else:
     BACKEND = "numpy"
     _default = _core_py.leapfrog_window
+
+# Exponents the C kernel evaluates with sqrt chains; at any other p a scalar
+# libm pow per node is slower than numpy's vectorised power.
+C_EXPONENTS = frozenset((1.0, 1.25, 1.5, 1.75, 2.0))
 
 taylor_first_step = _core_py.taylor_first_step
 
 
 def leapfrog_window(*args, forcing=None):
-    """Dispatch one leapfrog step; forced runs always use the numpy kernel."""
-    if forcing is not None:
-        return _core_py.leapfrog_window(*args, forcing=forcing)
-    return _default(*args)
+    """Dispatch one leapfrog step (args as in _core_py.leapfrog_window).
+
+    The default backend runs at the exponents in C_EXPONENTS; forced runs
+    and every other p use the numpy kernel.
+    """
+    if forcing is None and args[6] in C_EXPONENTS:
+        return _default(*args)
+    return _core_py.leapfrog_window(*args, forcing=forcing)
 
 
 def available_backends() -> dict:
     """Name -> kernel mapping for benchmarks and equivalence tests."""
     out = {"numpy": _core_py.leapfrog_window}
-    if _core_cy is not None:
-        out["cython"] = _core_cy.leapfrog_window
+    if _core_c is not None:
+        out["c"] = _core_c.leapfrog_window
     return out

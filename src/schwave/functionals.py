@@ -169,22 +169,11 @@ class FunctionalMonitor:
         self._t_prev = t
         return w * sum_phi_vt, 0.5 * S
 
-    def push_state(self, state) -> None:
-        """Advance J to the state's time via full-grid quadrature."""
-        S = nonlinear_spatial_integral(state, self.table, self.params.M,
-                                       self.params.p, h=self.h)
-        self.J = accumulate_nonlinear(self.J, self._S_prev, S, state.t - self._t_prev)
-        self._S_prev = S
-        self._t_prev = state.t
-
     def sample_from(self, t: float, L: float, Fprime: float) -> MonitorSample:
         F = 0.5 * self.J + self.N_eps
         ratio = _riccati_ratio(t, F, Fprime, self.params.p, self.params.R)
         return MonitorSample(t=t, L=L, J=self.J, G=L - F, F=F, Fprime=Fprime,
                              ratio_riccati=ratio)
-
-    def sample_state(self, state) -> MonitorSample:
-        return monitor(state, self.table, self.params, self.J, self.N_eps, h=self.h)
 
 
 @dataclass(frozen=True)

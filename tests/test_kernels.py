@@ -1,5 +1,7 @@
 """Equivalence of the compiled and numpy stepping kernels."""
 
+import platform
+
 import numpy as np
 import pytest
 
@@ -18,21 +20,107 @@ def make_problem(n=500, seed=7):
     return v_prev, v_curr, W, h, phi
 
 
-@pytest.mark.parametrize("p", [1.5, 1.75, 2.0])
-def test_backends_agree(p):
-    if "cython" not in backend.available_backends():
-        pytest.skip("compiled kernel unavailable")
-    cy_kernel = backend.available_backends()["cython"]
-    v_prev, v_curr, W, h, phi = make_problem()
+C_KERNEL = backend.available_backends().get("c")
+needs_c = pytest.mark.skipif(C_KERNEL is None, reason="compiled kernel unavailable")
+
+
+def assert_kernels_agree(v_prev, v_curr, W, h, phi, p):
     n = len(v_curr)
     dt, inv_ds2 = 0.018, 1.0 / 0.02**2
     out_py = np.zeros(n)
-    out_cy = np.zeros(n)
+    out_c = np.zeros(n)
     r_py = py_kernel(v_prev, v_curr, out_py, W, h, phi, p, dt, inv_ds2, 1, n - 2)
-    r_cy = cy_kernel(v_prev, v_curr, out_cy, W, h, phi, p, dt, inv_ds2, 1, n - 2)
-    np.testing.assert_allclose(out_cy, out_py, rtol=1e-13, atol=1e-300)
-    for a, b in zip(r_cy, r_py):
+    r_c = C_KERNEL(v_prev, v_curr, out_c, W, h, phi, p, dt, inv_ds2, 1, n - 2)
+    np.testing.assert_allclose(out_c, out_py, rtol=1e-13, atol=1e-300)
+    for a, b in zip(r_c, r_py):
         assert a == pytest.approx(b, rel=1e-12)
+    return out_c
+
+
+@needs_c
+@pytest.mark.parametrize("p", [1.25, 1.5, 1.75, 2.0])
+def test_backends_agree(p):
+    assert_kernels_agree(*make_problem(), p)
+
+
+@needs_c
+@pytest.mark.parametrize("p", [1.5, 1.75, 2.0])
+def test_backends_agree_into_subnormals(p):
+    # A state decaying smoothly through DBL_MIN down to ~1e-320: the C kernel
+    # flushes values below DBL_MIN to zero, which only moves them by < atol.
+    v_prev, v_curr, W, h, phi = make_problem(n=2000)
+    decay = np.geomspace(1.0, 1e-320, len(v_curr))
+    tiny = np.finfo(float).tiny
+    assert np.count_nonzero(v_curr * decay < tiny) > 50
+    out_c = assert_kernels_agree(v_prev * decay, v_curr * decay, W, h, phi, p)
+    if platform.machine() in ("x86_64", "AMD64"):
+        assert not np.any((out_c != 0.0) & (np.abs(out_c) < tiny))
+
+
+@needs_c
+def test_c_kernel_restores_fp_mode():
+    v_prev, v_curr, W, h, phi = make_problem()
+    n = len(v_curr)
+    C_KERNEL(v_prev, v_curr, np.zeros(n), W, h, phi, 2.0, 0.018, 1.0 / 0.02**2,
+             1, n - 2)
+    assert np.float64(1e-308) / 10 > 0
+
+
+# Each case: (argument, replacement or function of the valid argument).
+BAD_INPUTS = {
+    "strided": ("v_prev", lambda a: np.repeat(a, 2)[::2]),
+    "float32": ("W", lambda a: a.astype(np.float32)),
+    "short": ("phi", lambda a: a[:-1]),
+    "lo_below_1": ("lo", 0),
+    "hi_past_n_minus_2": ("hi", 499),
+    "p_1.6": ("p", 1.6),
+    "p_2.5": ("p", 2.5),
+}
+
+
+@needs_c
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_c_kernel_rejects_bad_input(case):
+    v_prev, v_curr, W, h, phi = make_problem()
+    n = len(v_curr)
+    args = {"v_prev": v_prev, "v_curr": v_curr, "v_next": np.zeros(n), "W": W,
+            "h": h, "phi": phi, "p": 2.0, "dt": 0.018, "inv_ds2": 1.0 / 0.02**2,
+            "lo": 1, "hi": n - 2}
+    key, bad = BAD_INPUTS[case]
+    args[key] = bad(args[key]) if callable(bad) else bad
+    with pytest.raises(ValueError):
+        C_KERNEL(*args.values())
+
+
+def kernel_or_skip(name):
+    if name not in backend.available_backends():
+        pytest.skip("compiled kernel unavailable")
+    return backend.available_backends()[name]
+
+
+@pytest.mark.parametrize("name", ["numpy", "c"])
+def test_empty_window_returns_zeros(name):
+    kernel = kernel_or_skip(name)
+    v_prev, v_curr, W, h, phi = make_problem()
+    out = np.full(len(v_curr), 123.0)
+    res = kernel(v_prev, v_curr, out, W, h, phi, 2.0, 0.018, 1.0 / 0.02**2, 10, 9)
+    assert res == (0.0, 0.0, 0.0)
+    assert np.all(out == 123.0)
+
+
+def test_dispatcher_uses_numpy_off_quarter_exponents():
+    # At p = 1.6 the compiled kernel would need a libm pow per node; the
+    # dispatcher must send the step to numpy (the C kernel rejects it).
+    v_prev, v_curr, W, h, phi = make_problem()
+    n = len(v_curr)
+    out = np.zeros(n)
+    res = backend.leapfrog_window(v_prev, v_curr, out, W, h, phi, 1.6, 0.018,
+                                  1.0 / 0.02**2, 1, n - 2)
+    out_ref = np.zeros(n)
+    ref = py_kernel(v_prev, v_curr, out_ref, W, h, phi, 1.6, 0.018,
+                    1.0 / 0.02**2, 1, n - 2)
+    np.testing.assert_array_equal(out, out_ref)
+    assert res == ref
 
 
 def test_dispatcher_uses_numpy_for_forcing():
@@ -81,3 +169,17 @@ def test_nan_propagates_to_sums():
     max_vt, s1, s2 = backend.leapfrog_window(v_prev, v_curr, out, W, h, phi,
                                              2.0, 0.018, 1.0 / 0.02**2, 1, n - 2)
     assert not np.isfinite(max_vt + s1 + s2)
+
+
+@pytest.mark.parametrize("name", ["numpy", "c"])
+def test_nan_propagates_to_every_result(name):
+    # A NaN node makes max |vt| NaN too, even with larger finite nodes after it.
+    kernel = kernel_or_skip(name)
+    v_prev, v_curr, W, h, phi = make_problem()
+    n = len(v_curr)
+    v_curr = v_curr.copy()
+    v_curr[n // 4] = np.nan
+    v_curr[n // 2] *= 100.0
+    res = kernel(v_prev, v_curr, np.zeros(n), W, h, phi, 2.0, 0.018,
+                 1.0 / 0.02**2, 1, n - 2)
+    assert all(np.isnan(x) for x in res)
