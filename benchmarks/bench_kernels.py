@@ -2,9 +2,12 @@
 """Benchmark the compiled stepping kernel against the numpy fallback.
 
 Times the single-step leapfrog update (the solver's hot loop) on synthetic
-problems of several sizes and prints microseconds per step plus speedup.
-p = 1.6 sits outside backend.C_EXPONENTS, so the compiled column shows "-"
-there: the solver's dispatcher runs numpy at that exponent.
+problems of several sizes and prints microseconds per step, nanoseconds per
+window node, and the speedup.  One window is 20,003 nodes wide, not a
+multiple of the compiled kernel's 8 lanes, so its tail loop runs too.
+p = 1.6 sits outside backend.C_EXPONENTS, so the compiled columns show "-"
+there: the solver's dispatcher runs numpy at that exponent.  The header
+names the instruction set of the compiled copy the loader picked.
 
 Usage: python benchmarks/bench_kernels.py [--steps N]
 """
@@ -14,7 +17,7 @@ import time
 
 import numpy as np
 
-from schwave.backend import BACKEND, C_EXPONENTS, available_backends
+from schwave.backend import BACKEND, C_EXPONENTS, KERNEL_ISA, available_backends
 
 
 def make_problem(n, rng):
@@ -48,24 +51,24 @@ def main():
 
     backends = available_backends()
     rng = np.random.default_rng(11)
-    print(f"default backend: {BACKEND}")
-    print(f"{'n':>8} {'p':>5}" + "".join(f"{name + ' us/step':>18}"
-                                         for name in backends)
+    print(f"default backend: {BACKEND}  kernel ISA: {KERNEL_ISA}")
+    print(f"{'width':>8} {'p':>5}" + "".join(f"{name + ' us/step':>16}{'ns/node':>9}"
+                                             for name in backends)
           + ("  speedup" if len(backends) > 1 else ""))
-    for n in (2_000, 20_000, 200_000):
+    for n in (2_002, 20_002, 20_005, 200_002):
         for p in (1.5, 1.6, 1.75, 2.0):
             arrays = make_problem(n, rng)
             times = {name: time_kernel(k, tuple(a.copy() for a in arrays), p,
                                        args.steps)
                      for name, k in backends.items()
                      if name == "numpy" or p in C_EXPONENTS}
-            row = f"{n:>8} {p:>5}" + "".join(
-                f"{times[name]:>18.2f}" if name in times else f"{'-':>18}"
+            row = f"{n - 2:>8} {p:>5}" + "".join(
+                f"{times[name]:>16.2f}{times[name] * 1e3 / (n - 2):>9.2f}"
+                if name in times else f"{'-':>16}{'-':>9}"
                 for name in backends)
             if "c" in times:
                 row += f"  {times['numpy'] / times['c']:>7.1f}x"
             print(row)
-
 
 if __name__ == "__main__":
     main()

@@ -4,7 +4,8 @@ The package works without the extension (a numpy fallback is selected at
 import time), so any build failure here only costs speed, not features.
 No -march=native: fused multiply-adds would change rounding against the
 numpy twin, and -ffp-contract=off keeps compilers that default to
-contraction from fusing.  -fno-math-errno lets the kernel's sqrt vectorize;
+contraction from fusing.  The kernel carries its own AVX2 clone (no FMA)
+on x86-64 glibc, chosen when the module loads.  -fno-math-errno lets the kernel's sqrt vectorize;
 its arguments are never negative and nothing reads errno.
 """
 

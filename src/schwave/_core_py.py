@@ -2,8 +2,8 @@
 
 The compiled twin (_core_c.c) implements leapfrog_window with the same
 semantics for p in backend.C_EXPONENTS, except that values below DBL_MIN
-may flush to zero; this module is its test oracle and runs every other p
-and every forced step.
+may flush to zero and its window sums add in a fixed 8-lane order; this
+module is its test oracle and runs every other p and every forced step.
 """
 
 from __future__ import annotations

@@ -2,7 +2,9 @@
 
 The compiled extension is optional; if it failed to build (or the
 environment variable SCHWAVE_BACKEND=numpy forces the fallback) the pure
-numpy implementation is used with identical semantics.
+numpy implementation is used with identical semantics.  KERNEL_ISA names
+the instruction set of the compiled copy in use ("avx2" or "default"; None
+on the numpy backend).
 """
 
 from __future__ import annotations
@@ -24,9 +26,11 @@ if _forced == "c" and _core_c is None:
 
 if _core_c is not None and _forced != "numpy":
     BACKEND = "c"
+    KERNEL_ISA = _core_c.ISA
     _default = _core_c.leapfrog_window
 else:
     BACKEND = "numpy"
+    KERNEL_ISA = None
     _default = _core_py.leapfrog_window
 
 # Exponents the C kernel evaluates with sqrt chains; at any other p a scalar

@@ -142,6 +142,6 @@ def solve_phi(grid: SpatialGrid, A: float, W_values: np.ndarray | None = None) -
     return table
 
 
-def psi_weight(table: TestFunctionTable, M: float, t: float) -> float:
+def psi_weight(M: float, t: float) -> float:
     """Scalar weight e^{-t/2M}; psi(t, s) is this factor times the phi samples."""
     return math.exp(-t / (2.0 * M))

@@ -1,5 +1,6 @@
 """Equivalence of the compiled and numpy stepping kernels."""
 
+import math
 import platform
 
 import numpy as np
@@ -55,6 +56,93 @@ def test_backends_agree_into_subnormals(p):
     out_c = assert_kernels_agree(v_prev * decay, v_curr * decay, W, h, phi, p)
     if platform.machine() in ("x86_64", "AMD64"):
         assert not np.any((out_c != 0.0) & (np.abs(out_c) < tiny))
+
+
+@needs_c
+def test_c_kernel_steps_bit_identically_at_p2():
+    # p = 2 squares, as numpy does; no subnormals arise here, so an FMA
+    # contraction in any compiled copy would show as a changed bit.
+    v_prev, v_curr, W, h, phi = make_problem()
+    n = len(v_curr)
+    out_py, out_c = np.zeros(n), np.zeros(n)
+    py_kernel(v_prev, v_curr, out_py, W, h, phi, 2.0, 0.018, 1.0 / 0.02**2, 1, n - 2)
+    C_KERNEL(v_prev, v_curr, out_c, W, h, phi, 2.0, 0.018, 1.0 / 0.02**2, 1, n - 2)
+    np.testing.assert_array_equal(out_c, out_py)
+
+
+def abs_pow(a, q):
+    """The C kernel's |a|^(q/4) in Python floats (IEEE doubles, exact sqrt)."""
+    b = abs(a)
+    if q == 8:
+        return b * b
+    if q == 7:
+        r = math.sqrt(b)
+        return b * r * math.sqrt(r)
+    if q == 6:
+        return b * math.sqrt(b)
+    if q == 5:
+        return b * math.sqrt(math.sqrt(b))
+    return b
+
+
+def lane_sums(v_next, v_prev, h, phi, p, dt, lo, hi, lanes=8):
+    """(max |vt|, sum phi vt, sum h phi |vt|^p) in the documented lane order.
+
+    Node lo + k adds to lane k % lanes in order; lanes combine 0, 1, ... .
+    """
+    q, inv2dt = int(4 * p), 0.5 / dt
+    mx, s1, s2 = [0.0] * lanes, [0.0] * lanes, [0.0] * lanes
+    for k in range(hi - lo + 1):
+        i, j = lo + k, k % lanes
+        vt = (float(v_next[i]) - float(v_prev[i])) * inv2dt
+        a = abs(vt)
+        mx[j] = a if (a > mx[j] or a != a) else mx[j]
+        s1[j] += float(phi[i]) * vt
+        s2[j] += float(h[i]) * float(phi[i]) * abs_pow(vt, q)
+    for j in range(1, lanes):
+        mx[0] = mx[j] if (mx[j] > mx[0] or mx[j] != mx[j]) else mx[0]
+        s1[0] += s1[j]
+        s2[0] += s2[j]
+    return mx[0], s1[0], s2[0]
+
+
+@needs_c
+@pytest.mark.parametrize("p", [1.0, 1.25, 1.5, 1.75, 2.0])
+def test_c_sums_follow_lane_order(p):
+    # Exact equality pins the summation order, and with it that every
+    # compiled copy (SSE2 or AVX2) returns the same sums.
+    v_prev, v_curr, W, h, phi = make_problem(n=4000)
+    dt = 0.018
+    for lo in (1, 2, 7, 100):
+        for width in list(range(21)) + [3001]:
+            hi = lo + width - 1
+            out = np.zeros(len(v_curr))
+            res = C_KERNEL(v_prev, v_curr, out, W, h, phi, p, dt, 1.0 / 0.02**2,
+                           lo, hi)
+            assert res == lane_sums(out, v_prev, h, phi, p, dt, lo, hi), (lo, width)
+
+
+@needs_c
+@pytest.mark.parametrize("offset", [3, 8 * 5 + 2], ids=["lane3", "tail"])
+def test_c_nan_in_one_lane_reaches_every_result(offset):
+    # v_prev enters only its own node's update, so the NaN sits in exactly
+    # one lane; a larger finite node later in that lane must not replace it.
+    v_prev, v_curr, W, h, phi = make_problem()
+    n, lo = len(v_curr), 10
+    v_prev = v_prev.copy()
+    v_prev[lo + offset] = np.nan
+    v_prev[lo + 3 + 8 * 3] *= -50.0
+    res = C_KERNEL(v_prev, v_curr, np.zeros(n), W, h, phi, 2.0, 0.018,
+                   1.0 / 0.02**2, lo, lo + 8 * 5 + 4)
+    assert all(np.isnan(x) for x in res)
+
+
+@needs_c
+def test_kernel_isa_reported():
+    from schwave import _core_c
+
+    assert _core_c.ISA in ("avx2", "default")
+    assert backend.KERNEL_ISA == (_core_c.ISA if backend.BACKEND == "c" else None)
 
 
 @needs_c

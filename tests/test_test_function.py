@@ -78,11 +78,9 @@ def test_rejects_nonpositive_growth():
 
 
 def test_psi_weight_values():
-    grid = make_grid(n=201)
-    table = solve_phi(grid, 0.5)
-    assert psi_weight(table, 1.0, 0.0) == pytest.approx(1.0)
-    assert psi_weight(table, 1.0, 2.0 * math.log(2.0)) == pytest.approx(0.5)
-    assert psi_weight(table, 0.5, 1.0) == pytest.approx(math.exp(-1.0))
+    assert psi_weight(1.0, 0.0) == pytest.approx(1.0)
+    assert psi_weight(1.0, 2.0 * math.log(2.0)) == pytest.approx(0.5)
+    assert psi_weight(0.5, 1.0) == pytest.approx(math.exp(-1.0))
 
 
 def test_psi_satisfies_stationary_identity():
@@ -91,7 +89,7 @@ def test_psi_satisfies_stationary_identity():
     grid = make_grid(n=8001)
     table = solve_phi(grid, 1.0 / (2.0 * M))
     for t in (0.0, 3.0):
-        w = psi_weight(table, M, t)
+        w = psi_weight(M, t)
         psi = w * table.phi
         lap = (psi[:-2] - 2.0 * psi[1:-1] + psi[2:]) / grid.ds**2
         resid = lap - grid.W_of_s[1:-1] * psi[1:-1] - psi[1:-1] / (4.0 * M**2)
