@@ -4,7 +4,9 @@ The tortoise coordinate s = r + 2M ln(r - 2M) maps the exterior region
 r > 2M onto the whole real line.  Near the horizon the gap x = r - 2M is
 exponentially small in s, so every routine here treats x (not r) as the
 primary unknown: computing x by subtracting two nearly equal doubles would
-destroy all precision exactly where the potentials need it most.
+destroy all precision exactly where the potentials need it most.  The
+inverse has a closed form, x = 2M wrightomega((s - 2M)/2M - ln 2M), with
+no iteration and no tolerance to choose.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import wrightomega
 
 __all__ = [
     "ModelParams",
@@ -22,10 +25,6 @@ __all__ = [
     "horizon_gap_from_tortoise",
     "build_grid",
 ]
-
-# Newton/bisection iteration cap for the coordinate inversion.
-_MAX_ITER = 200
-
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -92,6 +91,13 @@ def tortoise_from_radius(M: float, r=None, r_minus_2M=None):
     gap is known to full precision; near the horizon this is the only way
     to evaluate s accurately.
     """
+    r, x = _radius_and_gap(M, r, r_minus_2M)
+    out = r + 2.0 * M * np.log(x)
+    return float(out) if out.ndim == 0 else out
+
+
+def _radius_and_gap(M: float, r, r_minus_2M):
+    """Validated (r, x = r - 2M) arrays from ``r``, ``r_minus_2M`` or both."""
     if M <= 0:
         raise ValueError(f"mass must be positive, got M={M}")
     if r is None and r_minus_2M is None:
@@ -102,80 +108,36 @@ def tortoise_from_radius(M: float, r=None, r_minus_2M=None):
         x = np.asarray(r_minus_2M, dtype=float)
     if np.any(x <= 0.0):
         raise ValueError("radius must lie outside the horizon (r > 2M)")
-    base = np.asarray(r, dtype=float) if r is not None else 2.0 * M + x
-    out = base + 2.0 * M * np.log(x)
-    return float(out) if out.ndim == 0 else out
+    r = np.asarray(r, dtype=float) if r is not None else 2.0 * M + x
+    return r, x
 
 
-def horizon_gap_from_tortoise(M: float, s, tol: float = 1e-12):
+def horizon_gap_from_tortoise(M: float, s):
     """Invert the tortoise map for the horizon gap x = r(s) - 2M.
 
-    Solves x + 2M ln x = s - 2M with a bracketed Newton iteration
-    (bisection fallback), converging to |s(x) - s| <= tol * max(1, |s|).
-    The result retains full relative precision however small the gap is.
+    With w = x/2M, the relation x + 2M ln x = s - 2M reads w + ln w = z,
+    z = (s - 2M)/2M - ln 2M, whose solution is the Wright omega function:
+    x = 2M wrightomega(z).  The result keeps its relative precision however
+    small the gap is, as long as it is a normal double: within 1e-13 of a
+    50-digit Lambert-W reference for s >= -1300M.
     """
     if M <= 0:
         raise ValueError(f"mass must be positive, got M={M}")
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got tol={tol}")
     arr = np.atleast_1d(np.asarray(s, dtype=float))
     if not np.all(np.isfinite(arr)):
         raise ValueError("tortoise coordinate must be finite")
-    # Below this the gap underflows double precision entirely.
-    if np.any((arr - 2.0 * M) / (2.0 * M) < -740.0):
+    z = (arr - 2.0 * M) / (2.0 * M)
+    x = 2.0 * M * wrightomega(z - math.log(2.0 * M))
+    # Below z = -740 the gap underflows double precision entirely; for M > 1/2
+    # the -ln 2M shift makes it underflow to zero slightly earlier.
+    if np.any(z < -740.0) or np.any(x <= 0.0):
         raise ValueError("s too negative: horizon gap not representable in doubles")
-    x = _solve_gap(M, arr, tol)
     return float(x[0]) if np.isscalar(s) or np.ndim(s) == 0 else x.reshape(np.shape(s))
 
 
-def radius_from_tortoise(M: float, s, tol: float = 1e-12):
+def radius_from_tortoise(M: float, s):
     """Inverse map r(s) > 2M. See ``horizon_gap_from_tortoise`` for accuracy notes."""
-    gap = horizon_gap_from_tortoise(M, s, tol)
-    return 2.0 * M + gap
-
-
-def _solve_gap(M: float, s: np.ndarray, tol: float) -> np.ndarray:
-    """Vectorized safeguarded Newton for x + 2M ln x = s - 2M."""
-    target = s - 2.0 * M
-    scale = tol * np.maximum(1.0, np.abs(s))
-
-    # Seed: asymptotic mode deep inside, linear growth far out.
-    exponent = np.clip(target / (2.0 * M), -709.0, 709.0)
-    x = np.where(s < -18.0 * M, np.exp(exponent), np.maximum(s, M))
-
-    def resid(x):
-        return x + 2.0 * M * np.log(x) - target
-
-    # Establish a sign-changing bracket by geometric expansion.
-    lo = x.copy()
-    hi = x.copy()
-    g = resid(x)
-    for _ in range(_MAX_ITER):
-        need_lo = resid(lo) > 0.0
-        need_hi = resid(hi) < 0.0
-        if not (need_lo.any() or need_hi.any()):
-            break
-        lo = np.where(need_lo, lo * 0.25, lo)
-        hi = np.where(need_hi, hi * 4.0, hi)
-    else:  # pragma: no cover
-        raise RuntimeError("failed to bracket the tortoise inversion")
-
-    done = np.abs(g) <= scale
-    for _ in range(_MAX_ITER):
-        if done.all():
-            break
-        hi = np.where(~done & (g > 0.0), np.minimum(hi, x), hi)
-        lo = np.where(~done & (g < 0.0), np.maximum(lo, x), lo)
-        step = g / (1.0 + 2.0 * M / x)
-        cand = x - step
-        bad = ~np.isfinite(cand) | (cand <= lo) | (cand >= hi)
-        cand = np.where(bad, 0.5 * (lo + hi), cand)
-        x = np.where(done, x, cand)
-        g = resid(x)
-        done = done | (np.abs(g) <= scale)
-    if not done.all():  # pragma: no cover
-        raise RuntimeError("tortoise inversion did not converge within 200 iterations")
-    return x
+    return 2.0 * M + horizon_gap_from_tortoise(M, s)
 
 
 def build_grid(params: ModelParams, s_min: float, s_max: float, n: int) -> SpatialGrid:

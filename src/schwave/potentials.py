@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coordinates import horizon_gap_from_tortoise
+from .coordinates import _radius_and_gap, horizon_gap_from_tortoise
 
 __all__ = [
     "lapse",
@@ -27,18 +27,8 @@ __all__ = [
 
 def lapse(M: float, r=None, r_minus_2M=None):
     """Metric lapse F = 1 - 2M/r, computed as x/r to avoid cancellation."""
-    if M <= 0:
-        raise ValueError(f"mass must be positive, got M={M}")
-    if r is None and r_minus_2M is None:
-        raise ValueError("need r or r_minus_2M")
-    if r_minus_2M is None:
-        x = np.asarray(r, dtype=float) - 2.0 * M
-    else:
-        x = np.asarray(r_minus_2M, dtype=float)
-    if np.any(x <= 0.0):
-        raise ValueError("radius must lie outside the horizon (r > 2M)")
-    rr = np.asarray(r, dtype=float) if r is not None else 2.0 * M + x
-    out = x / rr
+    r, x = _radius_and_gap(M, r, r_minus_2M)
+    out = x / r
     return float(out) if out.ndim == 0 else out
 
 

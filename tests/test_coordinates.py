@@ -47,9 +47,24 @@ def test_inverse_tolerance_contract():
     s = np.concatenate([-np.geomspace(50, 1e-3, 200), [0.0],
                         np.geomspace(1e-3, 1e4, 200)])
     for M in (0.5, 1.0, 2.0):
-        x = horizon_gap_from_tortoise(M, s, tol=1e-12)
+        x = horizon_gap_from_tortoise(M, s)
         back = tortoise_from_radius(M, r_minus_2M=x)
         assert np.all(np.abs(back - s) <= 1e-12 * np.maximum(1.0, np.abs(s)))
+
+
+def test_inverse_matches_lambert_w_reference():
+    # x = 2M W(e^{(s-2M)/2M} / 2M) at 50 digits, over s in [-1300M, 1e5].
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        for M in (0.5, 1.0, 2.0):
+            s = np.concatenate([-np.geomspace(1300.0 * M, 1e-3, 300), [0.0],
+                                np.geomspace(1e-3, 1e5, 300)])
+            x = horizon_gap_from_tortoise(M, s)
+            two_m = mpmath.mpf(2.0 * M)
+            for si, xi in zip(s, x):
+                ref = two_m * mpmath.lambertw(
+                    mpmath.exp((mpmath.mpf(si) - two_m) / two_m) / two_m).real
+                assert abs((mpmath.mpf(xi) - ref) / ref) <= 1e-13, (M, si)
 
 
 def test_round_trip_accuracy():
@@ -88,6 +103,10 @@ def test_horizon_decade_scaling():
 def test_unrepresentable_gap_rejected():
     with pytest.raises(ValueError):
         horizon_gap_from_tortoise(1.0, -4000.0)
+    # Inside the z = (s - 2M)/2M >= -740 guard, but the -ln 2M shift
+    # underflows the gap to zero for M > 1/2.
+    with pytest.raises(ValueError):
+        horizon_gap_from_tortoise(100.0, 200.0 - 739.9 * 200.0)
 
 
 def test_model_params_validation():
