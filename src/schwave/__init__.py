@@ -35,7 +35,6 @@ from .pde_solver import (
     init_state,
     physical_field_u,
     run_until,
-    step,
 )
 from .potentials import lapse, nonlinear_weight_h, potential_W, verify_h_asymptotics
 from .riccati import (

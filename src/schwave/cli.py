@@ -34,7 +34,6 @@ from .functionals import check_inequalities
 from .pde_solver import (
     STATUS_BLEW_UP,
     STATUS_BOUNDARY_CONTACT,
-    FieldState,
     physical_field_u,
     run_until,
 )
@@ -167,8 +166,7 @@ def _cmd_solve(args) -> int:
     report.to_json(args.out / "verification.json")
     comparison = comparison_check(series, report.C_emp, T_num=record.T_num)
     for t_snap, v, vt in series.snapshots:
-        u = physical_field_u(
-            FieldState(t=t_snap, v=v, vt=vt, max_abs_vt=0.0), grid)
+        u = physical_field_u(v, grid)
         with open(args.out / f"field_t{t_snap:g}.csv", "w", newline="\n") as fh:
             fh.write("s,v,vt,u\n")
             for row in zip(grid.s, v, vt, u):

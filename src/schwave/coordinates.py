@@ -119,7 +119,8 @@ def horizon_gap_from_tortoise(M: float, s):
     z = (s - 2M)/2M - ln 2M, whose solution is the Wright omega function:
     x = 2M wrightomega(z).  The result keeps its relative precision however
     small the gap is, as long as it is a normal double: within 1e-13 of a
-    50-digit Lambert-W reference for s >= -1300M.
+    50-digit Lambert-W reference for s >= -1300M.  A gap below the smallest
+    normal double (z below about -708) raises ValueError.
     """
     if M <= 0:
         raise ValueError(f"mass must be positive, got M={M}")
@@ -128,9 +129,9 @@ def horizon_gap_from_tortoise(M: float, s):
         raise ValueError("tortoise coordinate must be finite")
     z = (arr - 2.0 * M) / (2.0 * M)
     x = 2.0 * M * wrightomega(z - math.log(2.0 * M))
-    # Below z = -740 the gap underflows double precision entirely; for M > 1/2
-    # the -ln 2M shift makes it underflow to zero slightly earlier.
-    if np.any(z < -740.0) or np.any(x <= 0.0):
+    # Below z ~ -708 (shifted by -ln 2M) the gap leaves the normal doubles:
+    # a subnormal keeps too few bits to map back to s, and deeper it is zero.
+    if np.any(x < np.finfo(float).tiny):
         raise ValueError("s too negative: horizon gap not representable in doubles")
     return float(x[0]) if np.isscalar(s) or np.ndim(s) == 0 else x.reshape(np.shape(s))
 

@@ -31,7 +31,6 @@ __all__ = [
     "linear_moment",
     "nonlinear_spatial_integral",
     "accumulate_nonlinear",
-    "monitor",
     "InequalityReport",
     "check_inequalities",
     "integral_bound_ratio",
@@ -111,18 +110,6 @@ def accumulate_nonlinear(J: float, S_prev: float, S_curr: float, dt: float) -> f
     return J + 0.5 * dt * (S_prev + S_curr)
 
 
-def monitor(state, table: TestFunctionTable, params, J: float,
-            N_eps: float, h: np.ndarray | None = None) -> MonitorSample:
-    """Assemble a MonitorSample from a state and the running J."""
-    L = linear_moment(state, table, params.M)
-    S = nonlinear_spatial_integral(state, table, params.M, params.p, h=h)
-    F = 0.5 * J + N_eps
-    G = L - F
-    Fp = 0.5 * S
-    ratio = _riccati_ratio(state.t, F, Fp, params.p, params.R)
-    return MonitorSample(t=state.t, L=L, J=J, G=G, F=F, Fprime=Fp, ratio_riccati=ratio)
-
-
 def _riccati_ratio(t: float, F: float, Fprime: float, p: float, R: float) -> float:
     """F'(t+R)^{p-1}/F^p; zero when the nonlinear term vanishes identically."""
     if Fprime == 0.0:
@@ -135,8 +122,7 @@ def _riccati_ratio(t: float, F: float, Fprime: float, p: float, R: float) -> flo
 class FunctionalMonitor:
     """Accumulates J step by step and emits MonitorSamples on demand.
 
-    The solver's hot loop feeds raw window sums (unweighted by ds); the
-    slower state-based path recomputes them by quadrature.  Both agree.
+    The solver's hot loop feeds raw window sums (unweighted by ds).
     """
 
     def __init__(self, grid: SpatialGrid, table: TestFunctionTable, params,

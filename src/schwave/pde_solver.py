@@ -35,7 +35,6 @@ __all__ = [
     "bump_profile",
     "init_state",
     "cfl_dt",
-    "step",
     "run_until",
     "default_threshold",
     "physical_field_u",
@@ -52,19 +51,12 @@ DEFAULT_THRESHOLD_FACTOR = 1e6
 
 @dataclass(eq=False)
 class FieldState:
-    """Field and time-derivative samples at one time level.
-
-    ``v_prev`` carries the companion level the three-level scheme needs;
-    it is None for freshly initialized data.  By construction ``vt`` holds
-    the centered difference (v^{n+1} - v^{n-1}) / 2dt, which lives at the
-    level *preceding* ``v`` once stepping has started.
-    """
+    """Field and time-derivative samples at one time level."""
 
     t: float
     v: np.ndarray
     vt: np.ndarray
     max_abs_vt: float
-    v_prev: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -139,53 +131,13 @@ def cfl_dt(grid: SpatialGrid, safety: float) -> float:
     return safety * grid.ds
 
 
-def _forcing_array(forcing, t: float, grid: SpatialGrid):
-    if forcing is None:
-        return None
-    return np.asarray(forcing(t, grid.s), dtype=float)
-
-
-def step(state: FieldState, grid: SpatialGrid, params: ModelParams,
-         dt: float, linear: bool = False, forcing=None) -> FieldState:
-    """Advance one time step (full-grid; the batch driver uses the windowed path).
-
-    On the first call (no companion level) the Taylor bootstrap is used.
-    ``forcing`` is an optional callable (t, s) -> array added to the right
-    side, for manufactured-solution verification.
-    """
-    h = np.zeros(grid.n) if linear else grid.h_of_s
-    W = grid.W_of_s
-    inv_ds2 = 1.0 / grid.ds**2
-    f_arr = _forcing_array(forcing, state.t, grid)
-
-    if state.v_prev is None:
-        v1 = backend.taylor_first_step(state.v, state.vt, W, h, params.p, dt,
-                                       inv_ds2, forcing=f_arr)
-        lap = np.zeros(grid.n)
-        lap[1:-1] = (state.v[:-2] - 2.0 * state.v[1:-1] + state.v[2:]) * inv_ds2
-        acc = lap - W * state.v + h * np.abs(state.vt) ** params.p
-        if f_arr is not None:
-            acc = acc + f_arr
-        vt1 = state.vt + dt * acc
-        vt1[0] = vt1[-1] = 0.0
-        return FieldState(t=state.t + dt, v=v1, vt=vt1,
-                          max_abs_vt=float(np.max(np.abs(vt1))), v_prev=state.v)
-
-    v_next = np.zeros(grid.n)
-    backend.leapfrog_window(state.v_prev, state.v, v_next, W, h,
-                            np.ones(grid.n), params.p, dt, inv_ds2,
-                            1, grid.n - 2, forcing=f_arr)
-    vt = (v_next - state.v_prev) / (2.0 * dt)
-    return FieldState(t=state.t + dt, v=v_next, vt=vt,
-                      max_abs_vt=float(np.max(np.abs(vt))), v_prev=state.v)
-
-
 def run_until(params: ModelParams, grid: SpatialGrid, threshold: float,
               t_max: float, table: TestFunctionTable | None = None,
               cfl: float = 0.9, monitor_dt: float = 0.1,
               aux_thresholds: tuple = (), linear: bool = False,
               f=None, g=None, enforce_grid: bool = True,
-              snapshot_times: tuple = ()) -> tuple[LifespanRecord, MonitorSeries]:
+              snapshot_times: tuple = (),
+              forcing=None) -> tuple[LifespanRecord, MonitorSeries]:
     """Step until max |v_t| crosses the threshold, t_max is reached, or the
     signal approaches the boundary.
 
@@ -194,6 +146,10 @@ def run_until(params: ModelParams, grid: SpatialGrid, threshold: float,
     |v_t| enters the last decade below the threshold.  ``aux_thresholds``
     are additional levels whose first crossing times are recorded (used for
     threshold-insensitivity checks).  ``linear`` forces h = 0.
+    ``snapshot_times`` record (t_n, v^n, centered v_t^n) at the first step
+    at or past each time.  ``forcing`` is an optional callable (t, s) ->
+    array added to the right side, for manufactured-solution verification;
+    a forced run updates the whole interior every step.
     """
     dt = cfl_dt(grid, cfl)
     state0 = init_state(params, grid, f=f, g=g,
@@ -214,17 +170,20 @@ def run_until(params: ModelParams, grid: SpatialGrid, threshold: float,
     series = MonitorSeries(M=params.M, R=params.R, p=params.p, N_eps=mon.N_eps)
     series.samples.append(first_sample)
 
-    # Initial support window (one-node halo).
+    # Initial support window (one-node halo); forcing may act anywhere.
     nz = np.nonzero((np.abs(state0.v) > 0.0) | (np.abs(state0.vt) > 0.0))[0]
-    if nz.size:
+    if forcing is not None:
+        wlo, whi = 1, gn - 2
+    elif nz.size:
         wlo, whi = int(nz[0]) - 1, int(nz[-1]) + 1
     else:
         wlo = whi = gn // 2
     wlo, whi = max(wlo, 1), min(whi, gn - 2)
 
     v_prev = state0.v.copy()
+    f_n = None if forcing is None else np.asarray(forcing(0.0, grid.s), dtype=float)
     v_curr = backend.taylor_first_step(state0.v, state0.vt, W, h_eff, params.p,
-                                       dt, inv_ds2)
+                                       dt, inv_ds2, forcing=f_n)
     v_next = np.zeros(gn)
     wlo, whi = max(wlo - 1, 1), min(whi + 1, gn - 2)
 
@@ -245,8 +204,11 @@ def run_until(params: ModelParams, grid: SpatialGrid, threshold: float,
         if t_n >= t_max - 1e-12:
             break
         lo, hi = max(wlo - 1, 1), min(whi + 1, gn - 2)
+        if forcing is not None:
+            f_n = np.asarray(forcing(t_n, grid.s), dtype=float)
         max_vt, s_phi_vt, s_hphi = backend.leapfrog_window(
-            v_prev, v_curr, v_next, W, h_eff, phi, params.p, dt, inv_ds2, lo, hi)
+            v_prev, v_curr, v_next, W, h_eff, phi, params.p, dt, inv_ds2, lo, hi,
+            forcing=f_n)
         if ((lo <= 2 and float(np.max(np.abs(v_next[1:4]))) > fringe_tol)
                 or (hi >= gn - 3 and float(np.max(np.abs(v_next[gn - 4:gn - 1]))) > fringe_tol)):
             status = STATUS_BOUNDARY_CONTACT
@@ -295,6 +257,6 @@ def default_threshold(initial_max_vt: float,
     return factor * (initial_max_vt if initial_max_vt > 0.0 else 1.0)
 
 
-def physical_field_u(state: FieldState, grid: SpatialGrid) -> np.ndarray:
+def physical_field_u(v: np.ndarray, grid: SpatialGrid) -> np.ndarray:
     """Recover the physical field u = v / r on the grid nodes."""
-    return state.v / grid.r_of_s
+    return v / grid.r_of_s

@@ -37,12 +37,9 @@ from schwave.functionals import (
 )
 from schwave.pde_solver import (
     STATUS_BLEW_UP,
-    FieldState,
     bump_profile,
     cfl_dt,
-    init_state,
     run_until,
-    step,
 )
 from schwave.potentials import nonlinear_weight_h, verify_h_asymptotics
 from schwave.riccati import (
@@ -190,15 +187,14 @@ def _dalembert_error(n):
     grid = build_grid(params, -8.0, 8.0, n)
     zero = np.zeros(n)
     flat = dataclasses.replace(grid, W_of_s=zero, h_of_s=zero.copy())
-    state = init_state(params, flat, f=lambda s: bump_profile(1.0, s),
-                       g=lambda s: np.zeros_like(s))
     nsteps = int(math.ceil(5.0 / cfl_dt(flat, 0.9)))
     dt = 5.0 / nsteps
-    for _ in range(nsteps):
-        state = step(state, flat, params, dt)
-    exact = 0.5 * (bump_profile(1.0, flat.s - state.t)
-                   + bump_profile(1.0, flat.s + state.t))
-    return float(np.max(np.abs(state.v - exact)))
+    _, series = run_until(params, flat, 1e6, 5.0 + dt, cfl=dt / flat.ds,
+                          f=lambda s: bump_profile(1.0, s),
+                          g=lambda s: np.zeros_like(s), snapshot_times=(5.0,))
+    (t, v, _), = series.snapshots
+    exact = 0.5 * (bump_profile(1.0, flat.s - t) + bump_profile(1.0, flat.s + t))
+    return float(np.max(np.abs(v - exact)))
 
 
 def _manufactured_error(n):
@@ -223,11 +219,12 @@ def _manufactured_error(n):
 
     nsteps = int(math.ceil(1.0 / cfl_dt(grid, 0.9)))
     dt = 1.0 / nsteps
-    state = FieldState(t=0.0, v=b(grid.s), vt=-b(grid.s), max_abs_vt=1.0)
-    for _ in range(nsteps):
-        state = step(state, grid, params, dt, forcing=forcing)
-    exact = math.exp(-state.t) * b(grid.s)
-    return float(np.max(np.abs(state.v - exact)))
+    _, series = run_until(params, grid, 1e6, 1.0 + dt, cfl=dt / grid.ds,
+                          f=b, g=lambda s: -b(s), forcing=forcing,
+                          snapshot_times=(1.0,))
+    (t, v, _), = series.snapshots
+    exact = math.exp(-t) * b(grid.s)
+    return float(np.max(np.abs(v - exact)))
 
 
 def test_criterion_04_solver_convergence():

@@ -103,10 +103,13 @@ def test_horizon_decade_scaling():
 def test_unrepresentable_gap_rejected():
     with pytest.raises(ValueError):
         horizon_gap_from_tortoise(1.0, -4000.0)
-    # Inside the z = (s - 2M)/2M >= -740 guard, but the -ln 2M shift
-    # underflows the gap to zero for M > 1/2.
+    # z = (s - 2M)/2M = -739.9, but the -ln 2M shift underflows the gap to
+    # zero for M > 1/2.
     with pytest.raises(ValueError):
         horizon_gap_from_tortoise(100.0, 200.0 - 739.9 * 200.0)
+    # A subnormal gap (4.15e-322 here) would map back to s = -1478.0185.
+    with pytest.raises(ValueError):
+        horizon_gap_from_tortoise(1.0, -1478.0)
 
 
 def test_model_params_validation():

@@ -15,7 +15,6 @@ from schwave.functionals import (
     hoelder_I_check,
     integral_bound_ratio,
     linear_moment,
-    monitor,
     nonlinear_spatial_integral,
 )
 from schwave.pde_solver import init_state, run_until
@@ -79,7 +78,7 @@ def test_monitor_initial_values(setup):
     N_eps = 0.5 * float(np.trapezoid(table.phi * state.vt, dx=grid.ds)
                         if hasattr(np, "trapezoid")
                         else np.trapz(table.phi * state.vt, dx=grid.ds))
-    sample = monitor(state, table, params, J=0.0, N_eps=N_eps)
+    sample = FunctionalMonitor(grid, table, params).start(state)
     assert sample.G == pytest.approx(N_eps, rel=1e-12)
     assert sample.F == pytest.approx(N_eps, rel=1e-12)
     assert sample.L == pytest.approx(2.0 * N_eps, rel=1e-12)

@@ -6,12 +6,12 @@ import math
 import numpy as np
 import pytest
 
+from schwave._core_py import leapfrog_window, taylor_first_step
 from schwave.coordinates import ModelParams, build_grid, sized_grid
 from schwave.pde_solver import (
     STATUS_BLEW_UP,
     STATUS_BOUNDARY_CONTACT,
     STATUS_REACHED_TMAX,
-    FieldState,
     LifespanRecord,
     bump_profile,
     cfl_dt,
@@ -19,7 +19,6 @@ from schwave.pde_solver import (
     init_state,
     physical_field_u,
     run_until,
-    step,
 )
 
 
@@ -66,12 +65,35 @@ def test_zero_data_stays_zero():
     params = ModelParams(M=1.0, p=2.0, epsilon=0.1, R=1.0)
     grid = build_grid(params, -10.0, 10.0, 401)
     zero = lambda s: np.zeros_like(s)
-    state = init_state(params, grid, f=zero, g=zero)
     dt = cfl_dt(grid, 0.9)
-    for _ in range(20):
-        state = step(state, grid, params, dt)
-    assert np.all(state.v == 0.0)
-    assert np.all(state.vt == 0.0)
+    _, series = run_until(params, grid, 1.0, 21 * dt, f=zero, g=zero,
+                          snapshot_times=(20 * dt,))
+    (_, v, vt), = series.snapshots
+    assert np.all(v == 0.0)
+    assert np.all(vt == 0.0)
+
+
+def test_forcing_outside_data_support_acts():
+    # Zero data leave the support window empty; a forced run must still
+    # update the whole interior, so a bump forcing at s = 5 moves v there.
+    params = ModelParams(M=1.0, p=2.0, epsilon=0.1, R=1.0)
+    grid = build_grid(params, -10.0, 10.0, 401)
+    zero = lambda s: np.zeros_like(s)
+    forcing = lambda t, s: (1.0 + t) * bump_profile(1.0, s - 5.0)
+    dt = cfl_dt(grid, 0.9)
+    _, series = run_until(params, grid, 1.0, 3 * dt, f=zero, g=zero,
+                          forcing=forcing, snapshot_times=(2 * dt,))
+    (_, v2, _), = series.snapshots
+    # Reference: Taylor bootstrap, then one full-interior leapfrog step.
+    W, h, inv_ds2 = grid.W_of_s, grid.h_of_s, 1.0 / grid.ds**2
+    v0 = np.zeros(grid.n)
+    v1 = taylor_first_step(v0, v0, W, h, params.p, dt, inv_ds2,
+                           forcing=forcing(0.0, grid.s))
+    ref = np.zeros(grid.n)
+    leapfrog_window(v0, v1, ref, W, h, np.ones(grid.n), params.p, dt, inv_ds2,
+                    1, grid.n - 2, forcing=forcing(dt, grid.s))
+    np.testing.assert_array_equal(v2, ref)
+    assert v2[np.argmin(np.abs(grid.s - 5.0))] > 0.0
 
 
 def test_cfl_dt():
@@ -95,30 +117,18 @@ def test_dalembert_splitting():
     errs = []
     for n in (801, 1601):
         grid = flat_grid(params, -8.0, 8.0, n)
-        state = init_state(params, grid, f=lambda s: bump_profile(1.0, s),
-                           g=lambda s: np.zeros_like(s))
         dt0 = cfl_dt(grid, 0.9)
         nsteps = int(math.ceil(5.0 / dt0))
         dt = 5.0 / nsteps
-        for _ in range(nsteps):
-            state = step(state, grid, params, dt)
-        exact = 0.5 * (bump_profile(1.0, grid.s - state.t)
-                       + bump_profile(1.0, grid.s + state.t))
-        errs.append(np.max(np.abs(state.v - exact)))
+        _, series = run_until(params, grid, 1e6, 5.0 + dt, cfl=dt / grid.ds,
+                              f=lambda s: bump_profile(1.0, s),
+                              g=lambda s: np.zeros_like(s),
+                              snapshot_times=(5.0,))
+        (t, v, _), = series.snapshots
+        exact = 0.5 * (bump_profile(1.0, grid.s - t)
+                       + bump_profile(1.0, grid.s + t))
+        errs.append(np.max(np.abs(v - exact)))
     assert 3.0 < errs[0] / errs[1] < 5.0  # one halving, order ~2
-
-
-def test_finite_speed_of_propagation_unit_step():
-    # At dt = ds the stencil speed equals the physical speed, so support
-    # containment in the light cone is exact up to rounding.
-    params = ModelParams(M=1.0, p=2.0, epsilon=0.3, R=1.0)
-    grid = sized_grid(params, 40.0, 0.05)
-    state = init_state(params, grid)
-    dt = grid.ds
-    for _ in range(int(30.0 / dt)):
-        state = step(state, grid, params, dt)
-    outside = np.abs(grid.s) > params.R + state.t + 2.0 * grid.ds
-    assert np.max(np.abs(state.v[outside])) <= 1e-10 * np.max(np.abs(state.v))
 
 
 def test_stencil_causality_below_unit_cfl():
@@ -126,28 +136,27 @@ def test_stencil_causality_below_unit_cfl():
     # per step (speed ds/dt); outside it the field is identically zero.
     params = ModelParams(M=1.0, p=2.0, epsilon=0.3, R=1.0)
     grid = sized_grid(params, 40.0, 0.05)
-    state = init_state(params, grid)
     dt = cfl_dt(grid, 0.9)
     nsteps = int(30.0 / dt)
-    for _ in range(nsteps):
-        state = step(state, grid, params, dt)
+    _, series = run_until(params, grid, 1e6 * params.epsilon, (nsteps + 1) * dt,
+                          snapshot_times=(nsteps * dt,))
+    (t, v, _), = series.snapshots
     outside = np.abs(grid.s) > params.R + (nsteps + 2) * grid.ds
-    assert np.all(state.v[outside] == 0.0)
+    assert np.all(v[outside] == 0.0)
     # The physical cone still confines all but the tiny dispersive fringe.
-    fringe = np.abs(grid.s) > params.R + state.t + 2.0 * grid.ds
-    assert np.max(np.abs(state.v[fringe])) <= 1e-4 * np.max(np.abs(state.v))
+    fringe = np.abs(grid.s) > params.R + t + 2.0 * grid.ds
+    assert np.max(np.abs(v[fringe])) <= 1e-4 * np.max(np.abs(v))
 
 
 def test_physical_field_roundtrip():
     params = ModelParams(M=1.0, p=2.0, epsilon=0.1, R=1.0)
     grid = build_grid(params, -5.0, 5.0, 101)
     state = init_state(params, grid)
-    assert np.all(physical_field_u(state, grid) == 0.0)
-    state2 = FieldState(t=0.0, v=grid.r_of_s.copy(), vt=np.zeros(grid.n),
-                        max_abs_vt=0.0)
-    u = physical_field_u(state2, grid)
+    assert np.all(physical_field_u(state.v, grid) == 0.0)
+    v = grid.r_of_s.copy()
+    u = physical_field_u(v, grid)
     np.testing.assert_allclose(u, 1.0, rtol=1e-15)
-    np.testing.assert_allclose(u * grid.r_of_s, state2.v, rtol=1e-15)
+    np.testing.assert_allclose(u * grid.r_of_s, v, rtol=1e-15)
 
 
 def test_threshold_must_exceed_initial():
@@ -221,27 +230,20 @@ def test_linear_energy_bounded():
     params = ModelParams(M=1.0, p=2.0, epsilon=0.3, R=1.0)
     grid = sized_grid(params, 110.0, 0.1)
     dt = cfl_dt(grid, 0.9)
-    state = init_state(params, grid)
-    prev = state
-    state = step(state, grid, params, dt, linear=True)
+    last = int(100.0 / dt)
+    levels = sorted(set(range(1, last + 1, 100)) | {last})
+    _, series = run_until(params, grid, 1e6 * params.epsilon, (last + 1) * dt,
+                          linear=True, snapshot_times=tuple(k * dt for k in levels))
+    assert len(series.snapshots) == len(levels)
 
-    def energy(level_state, next_state):
-        v = level_state.v
+    def energy(v, vt):
+        # v^k paired with the centered v_t^k of the same level.
         vs = np.zeros_like(v)
         vs[1:-1] = (v[2:] - v[:-2]) / (2.0 * grid.ds)
-        return float(np.sum(next_state.vt**2 + vs**2 + grid.W_of_s * v**2) * grid.ds)
+        return float(np.sum(vt**2 + vs**2 + grid.W_of_s * v**2) * grid.ds)
 
-    E0 = None
-    Emax = 0.0
-    Eend = 0.0
-    for i in range(int(100.0 / dt)):
-        nxt = step(state, grid, params, dt, linear=True)
-        if i % 100 == 0 or i == int(100.0 / dt) - 1:
-            E = energy(state, nxt)
-            E0 = E if E0 is None else E0
-            Emax = max(Emax, E)
-            Eend = E
-        prev, state = state, nxt
+    E = [energy(v, vt) for _, v, vt in series.snapshots]
+    E0, Emax, Eend = E[0], max(E), E[-1]
     assert Emax <= E0 * (1.0 + 1e-6)
     assert Eend >= 0.9 * E0  # neutral scheme: no spurious damping either
 
