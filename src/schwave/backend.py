@@ -1,15 +1,13 @@
 """Selects the stepping kernel: compiled C core or numpy fallback.
 
-The compiled extension is optional; if it failed to build (or the
-environment variable SCHWAVE_BACKEND=numpy forces the fallback) the pure
-numpy implementation is used with identical semantics.  KERNEL_ISA names
-the instruction set of the compiled copy in use ("avx2" or "default"; None
-on the numpy backend).
+The compiled extension is optional: BACKEND is "c" when it is built and
+"numpy" otherwise, and the pure numpy implementation has identical
+semantics.  Both kernels stay reachable through available_backends().
+KERNEL_ISA names the instruction set of the compiled copy in use ("avx2" or
+"default"; None on the numpy backend).
 """
 
 from __future__ import annotations
-
-import os
 
 from . import _core_py
 
@@ -18,13 +16,7 @@ try:  # pragma: no cover - depends on the build environment
 except ImportError:  # pragma: no cover
     _core_c = None
 
-_forced = os.environ.get("SCHWAVE_BACKEND", "").lower()
-if _forced not in ("", "numpy", "c"):
-    raise RuntimeError(f"SCHWAVE_BACKEND must be 'numpy' or 'c', got {_forced!r}")
-if _forced == "c" and _core_c is None:
-    raise RuntimeError("SCHWAVE_BACKEND=c but the compiled core is unavailable")
-
-if _core_c is not None and _forced != "numpy":
+if _core_c is not None:
     BACKEND = "c"
     KERNEL_ISA = _core_c.ISA
     _default = _core_c.leapfrog_window

@@ -217,9 +217,10 @@ def _cmd_sweep(args) -> int:
               f"checks={'pass' if rep.passed else 'FAIL'} {shift}")
 
     records = sweep(config, collect=collect)
-    fit = fit_records(records, config.p)
-    bound = upper_bound_check(records, fit)
-    emit_outputs(records, [fit], out, bound_reports=[bound])
+    fit, bound = _fit(records, config.p)
+    emit_outputs(records, fit, bound, out)
+    if fit is None:
+        return 1
     if fit.model == "power_law":
         print(f"fit: slope={fit.slope:.4g} (target {target_slope(config.p):.4g}) "
               f"r2={fit.r_squared:.4f}")
@@ -232,15 +233,27 @@ def _cmd_sweep(args) -> int:
     return 0 if (all_blew and verified and bound.passed and bound.monotonic) else 1
 
 
+def _fit(records, p: float, slack: float = 1.5):
+    """Lifespan fit and bound check; (None, None), with the shortfall on
+    stderr, when too few runs blew up to fit."""
+    try:
+        fit = fit_records(records, p)
+    except ValueError as exc:
+        print(f"schwave: no fit: {exc}", file=sys.stderr)
+        return None, None
+    return fit, upper_bound_check(records, fit, slack=slack)
+
+
 def _cmd_fit(args) -> int:
     records = read_records(args.csv)
     if not records:
         print("no records in csv", file=sys.stderr)
         return 1
-    fit = fit_records(records, records[0].p)
-    bound = upper_bound_check(records, fit, slack=args.slack)
+    fit, bound = _fit(records, records[0].p, slack=args.slack)
+    if fit is None:
+        return 1
     out = args.outdir if args.outdir is not None else args.csv.parent
-    emit_outputs(records, [fit], out, bound_reports=[bound])
+    emit_outputs(records, fit, bound, out)
     print(f"model={fit.model} slope={fit.slope:.6g} intercept={fit.intercept:.6g} "
           f"r2={fit.r_squared:.4f} bound_passed={bound.passed}")
     return 0 if bound.passed else 1

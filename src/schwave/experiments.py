@@ -172,40 +172,33 @@ def _warn_monotonicity(records: list[LifespanRecord]) -> None:
                 stacklevel=3)
 
 
-def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
-    return float(slope), float(intercept), r2
-
-
 def _blew_up(records) -> list[LifespanRecord]:
     return [r for r in records if r.status == STATUS_BLEW_UP]
 
 
-def fit_power_law(records) -> FitResult:
-    """OLS on (ln eps, ln T): slope targets -(p-1)/(2-p), intercept is ln C1."""
+def _fit_ln_T(model: str, records, x_of) -> FitResult:
+    """OLS of ln T on x_of(eps) over the blown-up records."""
     good = _blew_up(records)
     if len(good) < 3:
         raise ValueError(f"need >= 3 blown-up records, have {len(good)}")
-    x = np.log([r.epsilon for r in good])
+    x = x_of(np.array([r.epsilon for r in good]))
     y = np.log([r.T_num for r in good])
-    slope, intercept, r2 = _ols(x, y)
-    return FitResult(model="power_law", slope=slope, intercept=intercept,
+    slope, intercept = np.polyfit(x, y, 1)
+    resid = y - (slope * x + intercept)
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
+    return FitResult(model=model, slope=float(slope), intercept=float(intercept),
                      r_squared=r2, n_points=len(good))
+
+
+def fit_power_law(records) -> FitResult:
+    """OLS on (ln eps, ln T): slope targets -(p-1)/(2-p), intercept is ln C1."""
+    return _fit_ln_T("power_law", records, np.log)
 
 
 def fit_exponential(records) -> FitResult:
     """OLS on (1/eps, ln T): slope estimates C2."""
-    good = _blew_up(records)
-    if len(good) < 3:
-        raise ValueError(f"need >= 3 blown-up records, have {len(good)}")
-    x = np.array([1.0 / r.epsilon for r in good])
-    y = np.log([r.T_num for r in good])
-    slope, intercept, r2 = _ols(x, y)
-    return FitResult(model="exponential", slope=slope, intercept=intercept,
-                     r_squared=r2, n_points=len(good))
+    return _fit_ln_T("exponential", records, lambda eps: 1.0 / eps)
 
 
 def fit_records(records, p: float) -> FitResult:
@@ -249,11 +242,13 @@ def upper_bound_check(records, fit: FitResult, slack: float = 1.5) -> BoundRepor
 _CSV_HEADER = "epsilon,p,M,R,ds,dt,threshold,T_num,status"
 
 
-def emit_outputs(records, fits, out_dir, bound_reports=None) -> None:
+def emit_outputs(records, fit: FitResult | None, bound: BoundReport | None,
+                 out_dir) -> None:
     """Write sweep.csv, fit.json, and the fit-ready plot-data series.
 
-    Plain text, '.' decimal separator, newline-terminated rows; floats use
-    17 significant digits so a parse round-trips exactly.
+    With no fit (too few runs blew up) only sweep.csv is written.  Plain
+    text, '.' decimal separator, newline-terminated rows; floats use 17
+    significant digits so a parse round-trips exactly.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -262,41 +257,34 @@ def emit_outputs(records, fits, out_dir, bound_reports=None) -> None:
         for r in records:
             row = (r.epsilon, r.p, r.M, r.R, r.ds, r.dt, r.threshold, r.T_num)
             fh.write(",".join(f"{v:.17g}" for v in row) + f",{r.status}\n")
+    if fit is None:
+        return
 
-    payload = []
-    for i, fit in enumerate(fits):
-        entry = {
-            "model": fit.model, "slope": fit.slope, "intercept": fit.intercept,
-            "r_squared": fit.r_squared, "n_points": fit.n_points,
-        }
-        if fit.model == "power_law":
-            p = records[0].p if records else None
-            entry["target_slope"] = target_slope(p) if p else None
-        else:
-            entry["target"] = "positive slope (exponential lifespan growth)"
-        if bound_reports is not None and i < len(bound_reports):
-            br = bound_reports[i]
-            entry["bound_check"] = {
-                "passed": br.passed, "max_margin": br.max_margin,
-                "slack": br.slack, "monotonic": br.monotonic,
-            }
-        payload.append(entry)
+    entry = {
+        "model": fit.model, "slope": fit.slope, "intercept": fit.intercept,
+        "r_squared": fit.r_squared, "n_points": fit.n_points,
+    }
+    if fit.model == "power_law":
+        entry["target_slope"] = target_slope(records[0].p)
+    else:
+        entry["target"] = "positive slope (exponential lifespan growth)"
+    entry["bound_check"] = {
+        "passed": bound.passed, "max_margin": bound.max_margin,
+        "slack": bound.slack, "monotonic": bound.monotonic,
+    }
     with open(out / "fit.json", "w") as fh:
-        json.dump(payload if len(payload) != 1 else payload[0], fh, indent=2)
+        json.dump(entry, fh, indent=2)
         fh.write("\n")
 
     good = _blew_up(records)
-    for fit in fits:
-        if fit.model == "power_law":
-            with open(out / "plotdata_loglog.csv", "w", newline="\n") as fh:
-                fh.write("ln_epsilon,ln_T\n")
-                for r in good:
-                    fh.write(f"{math.log(r.epsilon):.17g},{math.log(r.T_num):.17g}\n")
-        else:
-            with open(out / "plotdata_exp.csv", "w", newline="\n") as fh:
-                fh.write("inv_epsilon,ln_T\n")
-                for r in good:
-                    fh.write(f"{1.0 / r.epsilon:.17g},{math.log(r.T_num):.17g}\n")
+    if fit.model == "power_law":
+        name, column, x = "plotdata_loglog.csv", "ln_epsilon", math.log
+    else:
+        name, column, x = "plotdata_exp.csv", "inv_epsilon", lambda eps: 1.0 / eps
+    with open(out / name, "w", newline="\n") as fh:
+        fh.write(f"{column},ln_T\n")
+        for r in good:
+            fh.write(f"{x(r.epsilon):.17g},{math.log(r.T_num):.17g}\n")
 
 
 def read_records(csv_path) -> list[LifespanRecord]:

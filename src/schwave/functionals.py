@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .coordinates import SpatialGrid
 from .potentials import nonlinear_weight_h, regime_split
@@ -131,7 +130,6 @@ class FunctionalMonitor:
         self.table = table
         self.params = params
         self.h = grid.h_of_s if h is None else h
-        self.hphi = self.h * table.phi
         self.J = 0.0
         self.N_eps = 0.0
         self._S_prev = None
@@ -254,16 +252,37 @@ def check_inequalities(series: MonitorSeries, M: float, tol: float = 1e-6,
     )
 
 
+def _panel_sum(f, cuts, width: float) -> float:
+    """Integral of the vectorised f over [cuts[0], cuts[-1]].
+
+    Each interval between consecutive cuts is split into equal panels no
+    wider than ``width``, each integrated by 16-point Gauss-Legendre.
+    """
+    total = 0.0
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    for left, right in zip(cuts[:-1], cuts[1:]):
+        npan = max(1, int(math.ceil((right - left) / width)))
+        edges = np.linspace(left, right, npan + 1)
+        mid = 0.5 * (edges[:-1] + edges[1:])
+        halfw = 0.5 * (edges[1:] - edges[:-1])
+        pts = (mid[:, None] + halfw[:, None] * nodes[None, :]).ravel()
+        wts = (halfw[:, None] * weights[None, :]).ravel()
+        total += float(wts @ f(pts))
+    return total
+
+
 def integral_bound_ratio(alpha: float, beta: float, L: float, t: float) -> float:
     """Ratio of int_0^{t+L} (1+s)^a e^{-b(t-s)} ds to (t+L)^a.
 
     Integrated in the shifted variable u = t - s so the exponential factor
-    never exceeds e^{beta L}.
+    never exceeds e^{beta L}.  Past u = 40/beta it is below e^{-40} of its
+    value at u = 0 and the rest of the range is dropped; panels no wider
+    than min(1, 1/beta) resolve the exponential.
     """
     if alpha < 0 or beta <= 0 or L <= 0 or t < 0:
         raise ValueError("need alpha >= 0, beta > 0, L > 0, t >= 0")
-    val, _ = quad(lambda u: (1.0 + t - u) ** alpha * math.exp(-beta * u),
-                  -L, t, limit=200)
+    val = _panel_sum(lambda u: (1.0 + t - u) ** alpha * np.exp(-beta * u),
+                     [-L, min(t, 40.0 / beta)], min(1.0, 1.0 / beta))
     return val / (t + L) ** alpha
 
 
@@ -285,16 +304,6 @@ def hoelder_I_check(M: float, p: float, R: float, t: float) -> float:
         h = np.asarray(nonlinear_weight_h(M, p, s))
         return h ** (-1.0 / (p - 1.0)) * np.exp((s - t) / (2.0 * M))
 
-    total = 0.0
     cuts = [a] + ([split] if a < split < b else []) + [b]
-    nodes, weights = np.polynomial.legendre.leggauss(16)
-    for left, right in zip(cuts[:-1], cuts[1:]):
-        # Panels no wider than 2M resolve the exponential scale of h.
-        npan = max(1, int(math.ceil((right - left) / (2.0 * M))))
-        edges = np.linspace(left, right, npan + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        halfw = 0.5 * (edges[1:] - edges[:-1])
-        pts = (mid[:, None] + halfw[:, None] * nodes[None, :]).ravel()
-        wts = (halfw[:, None] * weights[None, :]).ravel()
-        total += float(wts @ integrand(pts))
-    return total / (t + R)
+    # Panels no wider than 2M resolve the exponential scale of h.
+    return _panel_sum(integrand, cuts, 2.0 * M) / (t + R)

@@ -24,7 +24,7 @@ import numpy as np
 from . import backend
 from .coordinates import ModelParams, SpatialGrid
 from .functionals import FunctionalMonitor, MonitorSeries
-from .test_function import TestFunctionTable, solve_phi
+from .test_function import solve_phi
 
 __all__ = [
     "STATUS_BLEW_UP",
@@ -36,7 +36,6 @@ __all__ = [
     "init_state",
     "cfl_dt",
     "run_until",
-    "default_threshold",
     "physical_field_u",
 ]
 
@@ -45,8 +44,8 @@ STATUS_REACHED_TMAX = "reached_tmax"
 STATUS_BOUNDARY_CONTACT = "boundary_contact"
 STATUSES = (STATUS_BLEW_UP, STATUS_REACHED_TMAX, STATUS_BOUNDARY_CONTACT)
 
-# Default numerical lifespan threshold: 1e6 times the initial |v_t| scale.
-DEFAULT_THRESHOLD_FACTOR = 1e6
+# Time between regular monitor samples.
+MONITOR_DT = 0.1
 
 
 @dataclass(eq=False)
@@ -132,8 +131,7 @@ def cfl_dt(grid: SpatialGrid, safety: float) -> float:
 
 
 def run_until(params: ModelParams, grid: SpatialGrid, threshold: float,
-              t_max: float, table: TestFunctionTable | None = None,
-              cfl: float = 0.9, monitor_dt: float = 0.1,
+              t_max: float, cfl: float = 0.9,
               aux_thresholds: tuple = (), linear: bool = False,
               f=None, g=None, enforce_grid: bool = True,
               snapshot_times: tuple = (),
@@ -141,9 +139,10 @@ def run_until(params: ModelParams, grid: SpatialGrid, threshold: float,
     """Step until max |v_t| crosses the threshold, t_max is reached, or the
     signal approaches the boundary.
 
-    Returns the lifespan record plus the functional monitor series.  Samples
-    are taken every ``monitor_dt`` time units and at every step once max
-    |v_t| enters the last decade below the threshold.  ``aux_thresholds``
+    Returns the lifespan record plus the functional monitor series, built
+    on the test function phi solved on ``grid`` with growth rate 1/2M.
+    Samples are taken every MONITOR_DT time units and at every step once
+    max |v_t| enters the last decade below the threshold.  ``aux_thresholds``
     are additional levels whose first crossing times are recorded (used for
     threshold-insensitivity checks).  ``linear`` forces h = 0.
     ``snapshot_times`` record (t_n, v^n, centered v_t^n) at the first step
@@ -156,8 +155,7 @@ def run_until(params: ModelParams, grid: SpatialGrid, threshold: float,
                         t_max=t_max if enforce_grid else None)
     if threshold <= state0.max_abs_vt:
         raise ValueError("threshold must exceed the initial max |v_t|")
-    if table is None:
-        table = solve_phi(grid, 1.0 / (2.0 * params.M))
+    table = solve_phi(grid, 1.0 / (2.0 * params.M))
 
     h_eff = np.zeros(grid.n) if linear else grid.h_of_s
     W = grid.W_of_s
@@ -192,7 +190,7 @@ def run_until(params: ModelParams, grid: SpatialGrid, threshold: float,
     status = STATUS_REACHED_TMAX
     T_num = math.nan
     decade = threshold / 10.0
-    next_sample = monitor_dt
+    next_sample = MONITOR_DT
     n_level = 1
     # The update window grows one node per step (numerical speed ds/dt > 1)
     # and pins at the grid edge; boundary contact is declared when actual
@@ -229,7 +227,7 @@ def run_until(params: ModelParams, grid: SpatialGrid, threshold: float,
         if t_n >= next_sample - 1e-12 or max_vt >= decade or crossed:
             series.samples.append(mon.sample_from(t_n, L, Fp))
             while next_sample <= t_n + 1e-12:
-                next_sample += monitor_dt
+                next_sample += MONITOR_DT
         if snaps and t_n >= snaps[0] - 1e-12:
             snaps.pop(0)
             vt_full = np.zeros(gn)
@@ -249,12 +247,6 @@ def run_until(params: ModelParams, grid: SpatialGrid, threshold: float,
         T_num=T_num, threshold=threshold, ds=grid.ds, dt=dt, status=status,
     )
     return record, series
-
-
-def default_threshold(initial_max_vt: float,
-                      factor: float = DEFAULT_THRESHOLD_FACTOR) -> float:
-    """Lifespan threshold: factor times the initial max |v_t| (or 1 if zero)."""
-    return factor * (initial_max_vt if initial_max_vt > 0.0 else 1.0)
 
 
 def physical_field_u(v: np.ndarray, grid: SpatialGrid) -> np.ndarray:

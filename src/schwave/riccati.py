@@ -137,7 +137,6 @@ def comparison_params(series: MonitorSeries, C_emp: float) -> RiccatiParams:
 
 
 def comparison_check(series: MonitorSeries, C_emp: float,
-                     rp: RiccatiParams | None = None,
                      T_num: float | None = None,
                      tol: float = 3e-6, slack: float = 0.05) -> ComparisonReport:
     """Check F(t) >= H(t) pointwise and T_num <= H's blow-up time.
@@ -147,8 +146,7 @@ def comparison_check(series: MonitorSeries, C_emp: float,
     magnitude (three times the quadrature tolerance of F), ``slack`` the
     relative allowance on the lifespan ordering.
     """
-    if rp is None:
-        rp = comparison_params(series, C_emp)
+    rp = comparison_params(series, C_emp)
     T_H = H_blowup_time(rp)
     t = series.column("t")
     F = series.column("F")

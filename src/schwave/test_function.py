@@ -27,15 +27,13 @@ class TestFunctionTable:
 
     The overall scale of phi is free (every functional built on it is
     homogeneous), so the table is normalized to phi = 1 at the node nearest
-    s = 0.  ``log_scale`` records the natural log of the factor removed
-    relative to the raw shooting solution phi(start) = 1.
+    s = 0.
     """
 
     A: float
     phi: np.ndarray
     dphi: np.ndarray
     grid: SpatialGrid
-    log_scale: float
 
     __test__ = False  # not a pytest class despite the domain name
 
@@ -54,11 +52,6 @@ class TestFunctionTable:
         g = self.grid
         scale = (g.W_of_s[1:-1] + self.A**2) * self.phi[1:-1]
         return float(np.max(np.abs(self.residual()) / scale))
-
-    def growth_ratio(self) -> np.ndarray:
-        """e^{-As} phi(s), bounded above and below for a healthy solution."""
-        return np.exp(-self.A * (self.grid.s - self.grid.s[len(self.grid.s) // 2])) \
-            * self.phi / self.phi[len(self.grid.s) // 2]
 
 
 # How small W must be, relative to A^2, at the shooting start.
@@ -135,8 +128,7 @@ def solve_phi(grid: SpatialGrid, A: float, W_values: np.ndarray | None = None) -
     ln_ref = math.log(raw[ref]) + offs[ref]
     factor = np.exp(offs - ln_ref)
     table = TestFunctionTable(
-        A=A, phi=raw * factor, dphi=draw * factor, grid=grid, log_scale=ln_ref,
-    )
+        A=A, phi=raw * factor, dphi=draw * factor, grid=grid)
     if np.any(table.phi <= 0.0) or not np.all(np.isfinite(table.phi)):
         raise RuntimeError("test function lost positivity or overflowed")
     return table

@@ -93,3 +93,32 @@ def test_cli_override_beats_config(tmp_path):
     assert main(["sweep", "--config", str(cfg), "--outdir", str(override_dir)]) == 0
     assert (override_dir / "sweep.csv").exists()
     assert not (outdir / "sweep.csv").exists()
+
+
+def test_sweep_too_few_blowups_keeps_results(tmp_path, capsys):
+    # Two blown-up runs cannot be fitted; the measured lifespans must survive.
+    outdir = tmp_path / "out"
+    code = main(["sweep", "--mass", "1", "--radius", "1", "--p", "1.5",
+                 "--epsilons", "0.5,0.35", "--ds", "0.1", "--tmax", "60",
+                 "--outdir", str(outdir)])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "have 2" in err[0]
+    lines = (outdir / "sweep.csv").read_text().strip().split("\n")
+    assert len(lines) == 3
+    assert all(line.endswith(",blew_up") for line in lines[1:])
+    assert not (outdir / "fit.json").exists()
+    for eps in ("0.5", "0.35"):
+        assert (outdir / f"run_eps{eps}" / "monitor.csv").exists()
+        assert (outdir / f"run_eps{eps}" / "verification.json").exists()
+
+
+def test_fit_too_few_records(tmp_path, capsys):
+    csv = tmp_path / "sweep.csv"
+    csv.write_text("epsilon,p,M,R,ds,dt,threshold,T_num,status\n"
+                   "0.5,1.5,1,1,0.1,0.09,500000,20.5,blew_up\n"
+                   "0.35,1.5,1,1,0.1,0.09,350000,31.5,blew_up\n")
+    assert main(["fit", "--csv", str(csv)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "have 2" in err[0]
+    assert not (tmp_path / "fit.json").exists()

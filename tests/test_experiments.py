@@ -101,8 +101,7 @@ def test_upper_bound_check():
 def test_emit_and_read_round_trip(tmp_path):
     records = [make_record(e, 7.123456789 / e**1.01) for e in (0.4, 0.2, 0.1)]
     fit = fit_power_law(records)
-    emit_outputs(records, [fit], tmp_path,
-                 bound_reports=[upper_bound_check(records, fit)])
+    emit_outputs(records, fit, upper_bound_check(records, fit), tmp_path)
     lines = (tmp_path / "sweep.csv").read_text().strip().split("\n")
     assert lines[0] == "epsilon,p,M,R,ds,dt,threshold,T_num,status"
     assert len(lines) == 4
@@ -160,11 +159,9 @@ def test_sweep_deterministic(tmp_path, small_sweep_result):
     config, records = small_sweep_result
     again = sweep(config)
     fit = fit_power_law(records)
-    emit_outputs(records, [fit], tmp_path / "a",
-                 bound_reports=[upper_bound_check(records, fit)])
+    emit_outputs(records, fit, upper_bound_check(records, fit), tmp_path / "a")
     fit2 = fit_power_law(again)
-    emit_outputs(again, [fit2], tmp_path / "b",
-                 bound_reports=[upper_bound_check(again, fit2)])
+    emit_outputs(again, fit2, upper_bound_check(again, fit2), tmp_path / "b")
     for name in ("sweep.csv", "fit.json", "plotdata_loglog.csv"):
         assert (tmp_path / "a" / name).read_bytes() == \
             (tmp_path / "b" / name).read_bytes()

@@ -1,10 +1,14 @@
 """Functional chain: quadratures, identities, inequality checks, integral lemmas."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import schwave
 from schwave.coordinates import ModelParams, build_grid, sized_grid
 from schwave.functionals import (
     FunctionalMonitor,
@@ -151,6 +155,46 @@ def test_integral_bound_examples():
     assert integral_bound_ratio(1.0, 0.5, 1.0, 0.0) > 0.0
     with pytest.raises(ValueError):
         integral_bound_ratio(-1.0, 1.0, 1.0, 1.0)
+    # Far past the decay scale the whole mass sits near u = 0.
+    for beta, L in ((1.0, 1.0), (4.0, 5.0)):
+        expected = (math.exp(beta * L) - math.exp(-beta * 1e5)) / beta
+        assert integral_bound_ratio(0.0, beta, L, 1e5) == pytest.approx(expected, rel=1e-13)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("t", [1e3, 1e5])
+@pytest.mark.parametrize("beta, L", [(0.05, 5.0), (1.0, 1.0), (4.0, 0.3)])
+def test_integral_bound_matches_mpmath(alpha, t, beta, L):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        # Breakpoints at multiples of the decay length keep tanh-sinh accurate.
+        pts = [-L, 0.0] + [k / beta for k in (1, 2, 4, 8, 16, 32, 64, 128)
+                           if k / beta < t] + [t]
+        val = mp.quad(lambda u: (1 + t - u) ** alpha * mp.exp(-beta * u),
+                      [mp.mpf(x) for x in pts])
+        ref = float(val / (mp.mpf(t) + L) ** alpha)
+    assert integral_bound_ratio(alpha, beta, L, t) == pytest.approx(ref, rel=1e-13)
+
+
+def test_integral_bound_alpha0_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.given(st.floats(0.05, 4.0), st.floats(0.1, 5.0), st.floats(0.0, 1e6))
+    def check(beta, L, t):
+        # (e^{bL} - e^{-bt}) / b, without cancellation for small b(t+L).
+        expected = -math.exp(beta * L) * math.expm1(-beta * (t + L)) / beta
+        assert integral_bound_ratio(0.0, beta, L, t) == pytest.approx(expected, rel=1e-13)
+
+    check()
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # Importing the package (every CLI run does) must not pay for scipy.integrate.
+    src = str(Path(schwave.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import schwave; "
+            "sys.exit('scipy.integrate' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code, src]).returncode == 0
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0])

@@ -15,7 +15,6 @@ from schwave.pde_solver import (
     LifespanRecord,
     bump_profile,
     cfl_dt,
-    default_threshold,
     init_state,
     physical_field_u,
     run_until,
@@ -104,11 +103,6 @@ def test_cfl_dt():
     assert cfl_dt(g2, 0.5) == pytest.approx(0.01)
     with pytest.raises(ValueError):
         cfl_dt(g1, 1.0)
-
-
-def test_default_threshold():
-    assert default_threshold(0.25) == pytest.approx(2.5e5)
-    assert default_threshold(0.0) == pytest.approx(1e6)
 
 
 def test_dalembert_splitting():
