@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import sys
 from pathlib import Path
 
@@ -21,6 +22,7 @@ import numpy as np
 from . import backend
 from .coordinates import ModelParams, build_grid, sized_grid
 from .experiments import (
+    _CONFIG_KEYS,
     config_from_mapping,
     emit_outputs,
     fit_records,
@@ -192,12 +194,15 @@ def _cmd_riccati(args) -> int:
 
 def _cmd_sweep(args) -> int:
     raw = parse_config_file(args.config) if args.config else {}
-    overrides = {k: getattr(args, k) for k in
-                 ("mass", "p", "radius", "epsilons", "ds", "cfl", "threshold",
-                  "tmax", "outdir")}
+    overrides = {k: getattr(args, k) for k in _CONFIG_KEYS}
     config = config_from_mapping(raw, overrides)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    # Drop an earlier sweep's outputs from a reused outdir; keep other files.
+    for name in ("sweep.csv", "fit.json", "plotdata_loglog.csv", "plotdata_exp.csv"):
+        (out / name).unlink(missing_ok=True)
+    for run_dir in filter(Path.is_dir, out.glob("run_eps*")):
+        shutil.rmtree(run_dir)
 
     reports = []
 

@@ -5,8 +5,8 @@ r > 2M onto the whole real line.  Near the horizon the gap x = r - 2M is
 exponentially small in s, so every routine here treats x (not r) as the
 primary unknown: computing x by subtracting two nearly equal doubles would
 destroy all precision exactly where the potentials need it most.  The
-inverse has a closed form, x = 2M wrightomega((s - 2M)/2M - ln 2M), with
-no iteration and no tolerance to choose.
+inverse is x = 2M omega((s - 2M)/2M - ln 2M), with omega the Wright omega
+function computed by a fixed two-step iteration (ACM TOMS Algorithm 917).
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import wrightomega
 
 __all__ = [
     "ModelParams",
@@ -117,9 +116,9 @@ def horizon_gap_from_tortoise(M: float, s):
 
     With w = x/2M, the relation x + 2M ln x = s - 2M reads w + ln w = z,
     z = (s - 2M)/2M - ln 2M, whose solution is the Wright omega function:
-    x = 2M wrightomega(z).  The result keeps its relative precision however
-    small the gap is, as long as it is a normal double: within 1e-13 of a
-    50-digit Lambert-W reference for s >= -1300M.  A gap below the smallest
+    x = 2M omega(z).  The result keeps its relative precision however small
+    the gap is, as long as it is a normal double: within 1e-13 of a 50-digit
+    Lambert-W reference for -1300M <= s <= 6e5 M.  A gap below the smallest
     normal double (z below about -708) raises ValueError.
     """
     if M <= 0:
@@ -128,12 +127,28 @@ def horizon_gap_from_tortoise(M: float, s):
     if not np.all(np.isfinite(arr)):
         raise ValueError("tortoise coordinate must be finite")
     z = (arr - 2.0 * M) / (2.0 * M)
-    x = 2.0 * M * wrightomega(z - math.log(2.0 * M))
+    x = 2.0 * M * _wrightomega(z - math.log(2.0 * M))
     # Below z ~ -708 (shifted by -ln 2M) the gap leaves the normal doubles:
-    # a subnormal keeps too few bits to map back to s, and deeper it is zero.
-    if np.any(x < np.finfo(float).tiny):
+    # a subnormal keeps too few bits to map back to s; deeper it is 0 or NaN.
+    if not np.all(x >= np.finfo(float).tiny):
         raise ValueError("s too negative: horizon gap not representable in doubles")
     return float(x[0]) if np.isscalar(s) or np.ndim(s) == 0 else x.reshape(np.shape(s))
+
+
+def _wrightomega(z: np.ndarray) -> np.ndarray:
+    """Wright omega, the real w with w + ln w = z: Lawrence, Corless & Jeffrey,
+    ACM TOMS Algorithm 917 (2012).  Two fourth-order Fritsch-Shafer-Crowley
+    steps from ln(1 + e^z) (z <= 1) or z - ln z (z > 1); 0 or NaN where e^z
+    underflows, else within 6e-15 relative of a 40-digit reference.
+    """
+    with np.errstate(all="ignore"):
+        w = np.where(z <= 1.0, np.log1p(np.exp(np.minimum(z, 1.0))),
+                     z - np.log(np.maximum(z, 1.0)))
+        for _ in range(2):
+            r = z - w - np.log(w)
+            a = (1.0 + w) * (1.0 + w + 2.0 * r / 3.0)
+            w = w * (1.0 + r / (1.0 + w) * (a - r / 2.0) / (a - r))
+    return w
 
 
 def radius_from_tortoise(M: float, s):
@@ -172,8 +187,6 @@ def _validate_grid(grid: SpatialGrid) -> None:
         raise RuntimeError("r(s) table is not strictly increasing")
     if np.any(np.diff(grid.r_of_s) < 0.0):
         raise RuntimeError("r(s) table decreased")
-    if np.any(grid.r_minus_2M <= 0.0):
-        raise RuntimeError("grid node fell inside the horizon")
     if np.any((grid.F_of_s <= 0.0) | (grid.F_of_s >= 1.0)):
         raise RuntimeError("lapse left the open interval (0, 1)")
 

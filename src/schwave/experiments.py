@@ -27,6 +27,7 @@ from .pde_solver import (
     LifespanRecord,
     run_until,
 )
+from .riccati import _is_log_branch
 
 __all__ = [
     "SweepConfig",
@@ -203,7 +204,7 @@ def fit_exponential(records) -> FitResult:
 
 def fit_records(records, p: float) -> FitResult:
     """Pick the fit model from the exponent: power law below 2, else exponential."""
-    return fit_exponential(records) if 2.0 - p < 1e-6 else fit_power_law(records)
+    return fit_exponential(records) if _is_log_branch(p) else fit_power_law(records)
 
 
 def target_slope(p: float) -> float:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .coordinates import SpatialGrid
 from .potentials import nonlinear_weight_h, regime_split
-from .test_function import TestFunctionTable
+from .test_function import TestFunctionTable, psi_weight
 
 __all__ = [
     "MonitorSample",
@@ -90,7 +90,7 @@ class MonitorSeries:
 
 def linear_moment(state, table: TestFunctionTable, M: float) -> float:
     """L(t) = e^{-t/2M} * trapezoid(phi * v_t) over the grid."""
-    return math.exp(-state.t / (2.0 * M)) * float(
+    return psi_weight(M, state.t) * float(
         _trapz(table.phi * state.vt, dx=table.grid.ds)
     )
 
@@ -99,7 +99,7 @@ def nonlinear_spatial_integral(state, table: TestFunctionTable, M: float, p: flo
                                h: np.ndarray | None = None) -> float:
     """S(t) = e^{-t/2M} * trapezoid(h * phi * |v_t|^p), the integrand of J."""
     hh = table.grid.h_of_s if h is None else h
-    return math.exp(-state.t / (2.0 * M)) * float(
+    return psi_weight(M, state.t) * float(
         _trapz(hh * table.phi * np.abs(state.vt) ** p, dx=table.grid.ds)
     )
 
@@ -146,7 +146,7 @@ class FunctionalMonitor:
 
     def push_sums(self, t: float, sum_phi_vt: float, sum_hphi_vtp: float) -> tuple[float, float]:
         """Advance J to time t from raw window sums; returns (L, Fprime)."""
-        w = math.exp(-t / (2.0 * self.params.M)) * self.grid.ds
+        w = psi_weight(self.params.M, t) * self.grid.ds
         S = w * sum_hphi_vtp
         self.J = accumulate_nonlinear(self.J, self._S_prev, S, t - self._t_prev)
         self._S_prev = S

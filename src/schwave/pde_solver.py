@@ -146,9 +146,10 @@ def run_until(params: ModelParams, grid: SpatialGrid, threshold: float,
     are additional levels whose first crossing times are recorded (used for
     threshold-insensitivity checks).  ``linear`` forces h = 0.
     ``snapshot_times`` record (t_n, v^n, centered v_t^n) at the first step
-    at or past each time.  ``forcing`` is an optional callable (t, s) ->
-    array added to the right side, for manufactured-solution verification;
-    a forced run updates the whole interior every step.
+    at or past each time; times due at one step share its snapshot.
+    ``forcing`` is an optional callable (t, s) -> array added to the right
+    side, for manufactured-solution verification; a forced run updates the
+    whole interior every step.
     """
     dt = cfl_dt(grid, cfl)
     state0 = init_state(params, grid, f=f, g=g,
@@ -229,7 +230,7 @@ def run_until(params: ModelParams, grid: SpatialGrid, threshold: float,
             while next_sample <= t_n + 1e-12:
                 next_sample += MONITOR_DT
         if snaps and t_n >= snaps[0] - 1e-12:
-            snaps.pop(0)
+            snaps = [ts for ts in snaps if ts - 1e-12 > t_n]
             vt_full = np.zeros(gn)
             vt_full[lo:hi + 1] = (v_next[lo:hi + 1] - v_prev[lo:hi + 1]) / (2.0 * dt)
             series.snapshots.append((t_n, v_curr.copy(), vt_full))

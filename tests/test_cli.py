@@ -113,6 +113,22 @@ def test_sweep_too_few_blowups_keeps_results(tmp_path, capsys):
         assert (outdir / f"run_eps{eps}" / "verification.json").exists()
 
 
+def test_sweep_clears_earlier_sweep_outputs(tmp_path):
+    # An earlier p = 1.75 sweep in the same outdir: its fit, plot data and
+    # run directories must not survive beside a sweep that cannot be fitted.
+    outdir = tmp_path / "out"
+    (outdir / "run_eps9").mkdir(parents=True)
+    (outdir / "run_eps9" / "monitor.csv").write_text("t\n")
+    for name in ("fit.json", "plotdata_loglog.csv", "plotdata_exp.csv", "notes.txt"):
+        (outdir / name).write_text("old\n")
+    code = main(["sweep", "--mass", "1", "--radius", "1", "--p", "1.5",
+                 "--epsilons", "0.5,0.35", "--ds", "0.1", "--tmax", "60",
+                 "--outdir", str(outdir)])
+    assert code == 1
+    assert sorted(f.name for f in outdir.iterdir()) == [
+        "notes.txt", "run_eps0.35", "run_eps0.5", "sweep.csv"]
+
+
 def test_fit_too_few_records(tmp_path, capsys):
     csv = tmp_path / "sweep.csv"
     csv.write_text("epsilon,p,M,R,ds,dt,threshold,T_num,status\n"

@@ -53,12 +53,16 @@ def test_inverse_tolerance_contract():
 
 
 def test_inverse_matches_lambert_w_reference():
-    # x = 2M W(e^{(s-2M)/2M} / 2M) at 50 digits, over s in [-1300M, 1e5].
+    # x = 2M W(e^{(s-2M)/2M} / 2M) at 50 digits, over s in [-1300M, 6e5 M],
+    # plus a dense cluster around s = 2M(2 + ln 2M), where the Wright omega
+    # argument crosses 1 and the iteration switches start values.
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(50):
         for M in (0.5, 1.0, 2.0):
+            seam = 2.0 * M * (2.0 + math.log(2.0 * M))
             s = np.concatenate([-np.geomspace(1300.0 * M, 1e-3, 300), [0.0],
-                                np.geomspace(1e-3, 1e5, 300)])
+                                np.geomspace(1e-3, 6e5 * M, 300),
+                                seam + 2.0 * M * np.linspace(-0.5, 0.5, 101)])
             x = horizon_gap_from_tortoise(M, s)
             two_m = mpmath.mpf(2.0 * M)
             for si, xi in zip(s, x):

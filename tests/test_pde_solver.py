@@ -251,6 +251,15 @@ def test_record_validation():
                        threshold=1.0, ds=0.1, dt=0.09, status="exploded")
 
 
+def test_snapshot_times_due_at_one_step_share_it():
+    # At dt = 0.045 the first step at or past both 1.0 and 1.01 is t = 1.035.
+    params = ModelParams(M=1.0, p=2.0, epsilon=0.1, R=1.0)
+    grid = build_grid(params, -10.0, 10.0, 401)
+    dt = cfl_dt(grid, 0.9)
+    _, series = run_until(params, grid, 1.0, 2.0, snapshot_times=(1.0, 1.01))
+    assert [t for t, _, _ in series.snapshots] == [23 * dt]
+
+
 def test_snapshots_captured():
     params = ModelParams(M=1.0, p=1.5, epsilon=0.5, R=1.0)
     grid = sized_grid(params, 50.0, 0.05)
