@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled stepping kernel against the numpy fallback.
+"""Benchmark the compiled stepping kernel and phi shooter against Python.
 
 Times the single-step leapfrog update (the solver's hot loop) on synthetic
 problems of several sizes and prints microseconds per step, nanoseconds per
@@ -9,7 +9,12 @@ p = 1.6 sits outside backend.C_EXPONENTS, so the compiled columns show "-"
 there: the solver's dispatcher runs numpy at that exponent.  The header
 names the instruction set of the compiled copy the loader picked.
 
-Usage: python benchmarks/bench_kernels.py [--steps N]
+A second table times the RK4 phi shooter (solve_phi's inner loop), the
+Python loop against the compiled twin, in microseconds per solve and
+nanoseconds per node, on the grids of the `schwave phi` tables that
+perfbench's tables-export workload writes (M = 1, s in [-1300, 1300]).
+
+Usage: python benchmarks/bench_kernels.py [--steps N] [--solves N]
 """
 
 import argparse
@@ -17,7 +22,13 @@ import time
 
 import numpy as np
 
-from schwave.backend import BACKEND, C_EXPONENTS, KERNEL_ISA, available_backends
+from schwave import _core_py
+from schwave.backend import (BACKEND, C_EXPONENTS, KERNEL_ISA, _core_c,
+                             available_backends)
+from schwave.potentials import potential_W
+from schwave.test_function import _RENORM_CAP
+
+TABLE_SIZES = (52_001, 104_001, 208_001)
 
 
 def make_problem(n, rng):
@@ -44,9 +55,37 @@ def time_kernel(kernel, arrays, p, steps):
     return (time.perf_counter() - t0) / steps * 1e6
 
 
+def time_shooter(shoot, n, solves):
+    # phi'' = (W + A^2) phi at nodes and midpoints, A = 1/2M, M = 1.
+    c = potential_W(1.0, np.linspace(-1300.0, 1300.0, 2 * n - 1)) + 0.25
+    ds = 2600.0 / (n - 1)
+    out = [np.empty(n) for _ in range(3)]
+    t0 = time.perf_counter()
+    for _ in range(solves):
+        shoot(c, *out, 0.5, ds, _RENORM_CAP)
+    return (time.perf_counter() - t0) / solves * 1e6
+
+
+def shooter_table(solves):
+    shooters = {"python": _core_py.shoot_phi}
+    if _core_c is not None:
+        shooters["c"] = _core_c.shoot_phi
+    print(f"\n{'nodes':>8}" + "".join(f"{name + ' us/solve':>18}{'ns/node':>9}"
+                                     for name in shooters)
+          + ("  speedup" if len(shooters) > 1 else ""))
+    for n in TABLE_SIZES:
+        times = {name: time_shooter(f, n, solves) for name, f in shooters.items()}
+        row = f"{n:>8}" + "".join(f"{t:>18.1f}{t * 1e3 / n:>9.2f}"
+                                  for t in times.values())
+        if "c" in times:
+            row += f"  {times['python'] / times['c']:>7.1f}x"
+        print(row)
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--steps", type=int, default=300)
+    parser.add_argument("--solves", type=int, default=3)
     args = parser.parse_args()
 
     backends = available_backends()
@@ -69,6 +108,8 @@ def main():
             if "c" in times:
                 row += f"  {times['numpy'] / times['c']:>7.1f}x"
             print(row)
+    shooter_table(args.solves)
+
 
 if __name__ == "__main__":
     main()

@@ -1,7 +1,14 @@
-/* Compiled leapfrog kernel; the contract is _core_py.leapfrog_window's.
+/* Compiled twins of _core_py: the leapfrog kernel and the phi shooter.
 
    Plain C on the buffer protocol (no numpy C-API), so setuptools and a C
-   compiler build it offline.  Three departures from the numpy twin:
+   compiler build it offline; the caller allocates every array.
+
+   shoot_phi runs _core_py.shoot_phi's RK4 recurrence with the same
+   operations in the same order and libm's log, so under -ffp-contract=off
+   its phi, dphi and offsets are bit-identical to the Python loop.
+
+   leapfrog_window has _core_py.leapfrog_window's contract, with three
+   departures from the numpy twin:
 
    - |x|^p is evaluated without pow, and only for p = 1, 1.25, 1.5, 1.75, 2
      (4p an integer): p = 2 is b*b, bit-identical to numpy; the others are
@@ -108,6 +115,22 @@ static void CLONES step(const double *vp, const double *vc, double *vnext,
     }
 }
 
+/* Gets obj's buffer, writable if asked; unless it is 1-d C-contiguous
+   float64, releases it, sets ValueError naming the argument and returns -1. */
+static int get_doubles(PyObject *obj, Py_buffer *b, int writable, const char *name)
+{
+    if (PyObject_GetBuffer(obj, b, writable ? PyBUF_RECORDS : PyBUF_RECORDS_RO) < 0)
+        return -1;
+    if (b->ndim != 1 || b->itemsize != 8 || strcmp(b->format, "d") != 0
+            || !PyBuffer_IsContiguous(b, 'C')) {
+        PyBuffer_Release(b);
+        PyErr_Format(PyExc_ValueError, "%s must be a 1-d C-contiguous float64 buffer",
+                     name);
+        return -1;
+    }
+    return 0;
+}
+
 static const char *NAMES[6] = {"v_prev", "v_curr", "v_next", "W", "h", "phi"};
 
 static PyObject *leapfrog_window(PyObject *self, PyObject *args)
@@ -123,21 +146,14 @@ static PyObject *leapfrog_window(PyObject *self, PyObject *args)
                           &lo, &hi))
         return NULL;
     for (k = 0; k < 6; k++) {
-        Py_buffer *b = &buf[k];
-        if (PyObject_GetBuffer(obj[k], b, k == 2 ? PyBUF_RECORDS : PyBUF_RECORDS_RO) < 0)
+        if (get_doubles(obj[k], &buf[k], k == 2, NAMES[k]) < 0)
             goto done;
         got++;
-        if (b->ndim != 1 || b->itemsize != 8 || strcmp(b->format, "d") != 0
-                || !PyBuffer_IsContiguous(b, 'C')) {
-            PyErr_Format(PyExc_ValueError,
-                         "%s must be a 1-d C-contiguous float64 buffer", NAMES[k]);
-            goto done;
-        }
         if (k == 0)
-            n = b->shape[0];
-        if (b->shape[0] != n) {
+            n = buf[0].shape[0];
+        if (buf[k].shape[0] != n) {
             PyErr_Format(PyExc_ValueError, "%s has length %zd, v_prev has %zd",
-                         NAMES[k], b->shape[0], n);
+                         NAMES[k], buf[k].shape[0], n);
             goto done;
         }
     }
@@ -173,16 +189,83 @@ done:
     return result;
 }
 
+/* phi'' = c phi by RK4 from (1, A); c holds nodes and midpoints alternately. */
+static void shoot(const double *c, double *raw, double *draw, double *offs,
+                  Py_ssize_t m, double A, double ds, double cap)
+{
+    double y1 = 1.0, y2 = A, off = 0.0, half = 0.5 * ds;
+    raw[0] = y1, draw[0] = y2, offs[0] = off;
+    for (Py_ssize_t j = 0; j < m - 1; j++) {
+        double c0 = c[2 * j], ch = c[2 * j + 1], c1 = c[2 * j + 2];
+        double k1a = y2, k1b = c0 * y1;
+        double k2a = y2 + half * k1b, k2b = ch * (y1 + half * k1a);
+        double k3a = y2 + half * k2b, k3b = ch * (y1 + half * k2a);
+        double k4a = y2 + ds * k3b, k4b = c1 * (y1 + ds * k3a);
+        y1 += ds / 6.0 * (k1a + 2.0 * k2a + 2.0 * k3a + k4a);
+        y2 += ds / 6.0 * (k1b + 2.0 * k2b + 2.0 * k3b + k4b);
+        if (y1 > cap) {
+            off += log(y1);
+            y2 /= y1;
+            y1 = 1.0;
+        }
+        raw[j + 1] = y1, draw[j + 1] = y2, offs[j + 1] = off;
+    }
+}
+
+static const char *SHOOT_NAMES[4] = {"c", "raw", "draw", "offs"};
+
+static PyObject *shoot_phi(PyObject *self, PyObject *args)
+{
+    PyObject *obj[4], *result = NULL;
+    Py_buffer buf[4];
+    double A, ds, cap;
+    Py_ssize_t m = 0;
+    int k, got = 0;
+
+    if (!PyArg_ParseTuple(args, "OOOOddd:shoot_phi", &obj[0], &obj[1], &obj[2],
+                          &obj[3], &A, &ds, &cap))
+        return NULL;
+    for (k = 0; k < 4; k++) {
+        if (get_doubles(obj[k], &buf[k], k > 0, SHOOT_NAMES[k]) < 0)
+            goto done;
+        got++;
+        if (k == 1)
+            m = buf[1].shape[0];
+        if (k > 1 && buf[k].shape[0] != m) {
+            PyErr_Format(PyExc_ValueError, "%s has length %zd, raw has %zd",
+                         SHOOT_NAMES[k], buf[k].shape[0], m);
+            goto done;
+        }
+    }
+    if (m < 1 || buf[0].shape[0] != 2 * m - 1) {
+        PyErr_Format(PyExc_ValueError, "c has length %zd, need 2 * len(raw) - 1 "
+                     "with len(raw) >= 1 (raw has %zd)", buf[0].shape[0], m);
+        goto done;
+    }
+    Py_BEGIN_ALLOW_THREADS
+    shoot(buf[0].buf, buf[1].buf, buf[2].buf, buf[3].buf, m, A, ds, cap);
+    Py_END_ALLOW_THREADS
+    result = Py_NewRef(Py_None);
+done:
+    for (k = 0; k < got; k++)
+        PyBuffer_Release(&buf[k]);
+    return result;
+}
+
 static PyMethodDef methods[] = {
     {"leapfrog_window", leapfrog_window, METH_VARARGS,
      "leapfrog_window(v_prev, v_curr, v_next, W, h, phi, p, dt, inv_ds2, lo, hi)\n"
      "--\n\nAdvance one leapfrog step on [lo, hi]; see the numpy twin for the "
      "contract."},
+    {"shoot_phi", shoot_phi, METH_VARARGS,
+     "shoot_phi(c, raw, draw, offs, A, ds, cap)\n"
+     "--\n\nRK4-shoot phi'' = c phi into raw, draw, offs; see the Python twin "
+     "for the contract."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
-    PyModuleDef_HEAD_INIT, "_core_c", "Compiled leapfrog kernel.", -1, methods,
+    PyModuleDef_HEAD_INIT, "_core_c", "Compiled leapfrog kernel and phi shooter.", -1, methods,
 };
 
 PyMODINIT_FUNC PyInit__core_c(void)

@@ -1,12 +1,14 @@
-"""Pure-numpy stepping kernels; fallback when the compiled core is absent.
+"""Python twins of the compiled core (_core_c.c), run when it is absent.
 
-The compiled twin (_core_c.c) implements leapfrog_window with the same
-semantics for p in backend.C_EXPONENTS, except that values below DBL_MIN
-may flush to zero and its window sums add in a fixed 8-lane order; this
-module is its test oracle and runs every other p and every forced step.
+The compiled leapfrog_window has the same semantics for p in
+backend.C_EXPONENTS, except that values below DBL_MIN may flush to zero and
+its window sums add in a fixed 8-lane order; this module is its test oracle
+and runs every other p and every forced step.  shoot_phi's twin is bit-identical.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -64,3 +66,24 @@ def taylor_first_step(v0, vt0, W, h, p, dt, inv_ds2, forcing=None):
         acc = acc + forcing[1:-1]
     v1[1:-1] = v0[1:-1] + dt * vt0[1:-1] + 0.5 * dt * dt * acc
     return v1
+
+
+def shoot_phi(c, raw, draw, offs, A, ds, cap):
+    """RK4 for phi'' = c phi from (1, A), c at nodes and midpoints: node j gets
+    phi, phi' = (raw[j], draw[j]) * e^offs[j]; log(phi) moves to offs above cap."""
+    y1, y2, off = 1.0, A, 0.0
+    raw[0], draw[0], offs[0] = y1, y2, off
+    half = 0.5 * ds
+    for j in range(len(raw) - 1):
+        c0, ch, c1 = c[2 * j], c[2 * j + 1], c[2 * j + 2]
+        k1a, k1b = y2, c0 * y1
+        k2a, k2b = y2 + half * k1b, ch * (y1 + half * k1a)
+        k3a, k3b = y2 + half * k2b, ch * (y1 + half * k2a)
+        k4a, k4b = y2 + ds * k3b, c1 * (y1 + ds * k3a)
+        y1 += ds / 6.0 * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
+        y2 += ds / 6.0 * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
+        if y1 > cap:
+            off += math.log(y1)
+            y2 /= y1
+            y1 = 1.0
+        raw[j + 1], draw[j + 1], offs[j + 1] = y1, y2, off

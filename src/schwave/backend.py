@@ -1,10 +1,10 @@
-"""Selects the stepping kernel: compiled C core or numpy fallback.
+"""Selects kernel and phi shooter: the compiled C core or its Python twins.
 
 The compiled extension is optional: BACKEND is "c" when it is built and
-"numpy" otherwise, and the pure numpy implementation has identical
-semantics.  Both kernels stay reachable through available_backends().
-KERNEL_ISA names the instruction set of the compiled copy in use ("avx2" or
-"default"; None on the numpy backend).
+"numpy" otherwise; the numpy kernel has identical semantics and the Python
+shoot_phi gives bit-identical phi.  Both kernels stay reachable through
+available_backends().  KERNEL_ISA names the instruction set of the compiled
+kernel copy in use ("avx2" or "default"; None on the numpy backend).
 """
 
 from __future__ import annotations
@@ -20,10 +20,12 @@ if _core_c is not None:
     BACKEND = "c"
     KERNEL_ISA = _core_c.ISA
     _default = _core_c.leapfrog_window
+    shoot_phi = _core_c.shoot_phi
 else:
     BACKEND = "numpy"
     KERNEL_ISA = None
     _default = _core_py.leapfrog_window
+    shoot_phi = _core_py.shoot_phi
 
 # Exponents the C kernel evaluates with sqrt chains; at any other p a scalar
 # libm pow per node is slower than numpy's vectorised power.

@@ -23,6 +23,7 @@ from . import backend
 from .coordinates import ModelParams, build_grid, sized_grid
 from .experiments import (
     _CONFIG_KEYS,
+    SweepAbort,
     config_from_mapping,
     emit_outputs,
     fit_records,
@@ -204,9 +205,10 @@ def _cmd_sweep(args) -> int:
     for run_dir in filter(Path.is_dir, out.glob("run_eps*")):
         shutil.rmtree(run_dir)
 
-    reports = []
+    records, reports = [], []
 
     def collect(record, series):
+        records.append(record)
         run_dir = out / f"run_eps{record.epsilon:g}"
         run_dir.mkdir(parents=True, exist_ok=True)
         series.to_csv(run_dir / "monitor.csv")
@@ -221,7 +223,11 @@ def _cmd_sweep(args) -> int:
               f"T_num={record.T_num:<12.6g} C_emp={rep.C_emp:.4g} "
               f"checks={'pass' if rep.passed else 'FAIL'} {shift}")
 
-    records = sweep(config, collect=collect)
+    try:
+        sweep(config, collect=collect)
+    except SweepAbort as exc:  # the finished runs still get sweep.csv and a fit
+        eps = config.epsilon_list[len(records)]
+        print(f"schwave: sweep stopped at epsilon={eps:g}: {exc}", file=sys.stderr)
     fit, bound = _fit(records, config.p)
     emit_outputs(records, fit, bound, out)
     if fit is None:
@@ -233,7 +239,7 @@ def _cmd_sweep(args) -> int:
         print(f"fit: C2 estimate={fit.slope:.4g} r2={fit.r_squared:.4f}")
     print(f"bound check: passed={bound.passed} max_margin={bound.max_margin:.3g} "
           f"monotonic={bound.monotonic}")
-    all_blew = all(r.status == STATUS_BLEW_UP for r in records)
+    all_blew = [r.status for r in records] == [STATUS_BLEW_UP] * len(config.epsilon_list)
     verified = all(rep.passed for rep in reports)
     return 0 if (all_blew and verified and bound.passed and bound.monotonic) else 1
 

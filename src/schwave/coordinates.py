@@ -131,7 +131,8 @@ def horizon_gap_from_tortoise(M: float, s):
     # Below z ~ -708 (shifted by -ln 2M) the gap leaves the normal doubles:
     # a subnormal keeps too few bits to map back to s; deeper it is 0 or NaN.
     if not np.all(x >= np.finfo(float).tiny):
-        raise ValueError("s too negative: horizon gap not representable in doubles")
+        limit = 2.0 * M * (1.0 + math.log(np.finfo(float).tiny))  # x ~ e^{(s-2M)/2M}
+        raise ValueError(f"s below {limit:.5g}: horizon gap not representable in doubles")
     return float(x[0]) if np.isscalar(s) or np.ndim(s) == 0 else x.reshape(np.shape(s))
 
 

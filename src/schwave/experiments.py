@@ -53,7 +53,7 @@ _CONFIG_KEYS = ("mass", "p", "radius", "epsilons", "ds", "cfl", "threshold",
 
 
 class SweepAbort(RuntimeError):
-    """A sweep run became invalid (boundary contact); carries a resize hint."""
+    """A sweep run's grid cannot be built, or its signal touched the boundary."""
 
 
 @dataclass(frozen=True)
@@ -146,7 +146,11 @@ def _run_one(params: ModelParams, config: SweepConfig,
                 f"forecast horizon t_max={t_max:.3g} needs ~{steps:.2g} steps "
                 f"(budget {STEP_BUDGET:.0e}); epsilon={params.epsilon} may be "
                 "infeasible at this resolution", stacklevel=2)
-        grid = sized_grid(params, t_max, config.ds)
+        try:
+            grid = sized_grid(params, t_max, config.ds)
+        except ValueError as exc:
+            raise SweepAbort(f"no grid for t_max={t_max:.4g} at epsilon="
+                             f"{params.epsilon}: {exc}") from exc
         threshold = config.threshold * params.epsilon  # initial max |v_t| = eps
         # Record the crossing of threshold/1000 too (insensitivity probe).
         record, series = run_until(params, grid, threshold, t_max,

@@ -6,6 +6,7 @@ solves it to exponentially small error.  We therefore shoot rightward from
 a start point where W is negligible, with data (phi, phi') = (1, A), using
 classical RK4 at the grid spacing.  Positivity is automatic: phi'' > 0
 while phi > 0 and phi'(start) > 0, so phi can never turn back to zero.
+The RK4 loop is backend.shoot_phi: C when built, else its bit-identical twin.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import backend
 from .coordinates import SpatialGrid
 from .potentials import potential_W
 
@@ -101,29 +103,9 @@ def solve_phi(grid: SpatialGrid, A: float, W_values: np.ndarray | None = None) -
             raise ValueError(f"W_values must have shape ({2 * m - 1},)")
 
     c = W_all + A * A  # phi'' = c(s) phi at nodes and midpoints
-    raw = np.empty(m)
-    draw = np.empty(m)
-    offs = np.empty(m)
-    y1, y2, off = 1.0, A, 0.0
-    raw[0], draw[0], offs[0] = y1, y2, off
-    half = 0.5 * ds
-    for j in range(m - 1):
-        c0, ch, c1 = c[2 * j], c[2 * j + 1], c[2 * j + 2]
-        k1a, k1b = y2, c0 * y1
-        k2a, k2b = y2 + half * k1b, ch * (y1 + half * k1a)
-        k3a, k3b = y2 + half * k2b, ch * (y1 + half * k2a)
-        k4a, k4b = y2 + ds * k3b, c1 * (y1 + ds * k3a)
-        y1 += ds / 6.0 * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
-        y2 += ds / 6.0 * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
-        if y1 > _RENORM_CAP:
-            off += math.log(y1)
-            y2 /= y1
-            y1 = 1.0
-        raw[j + 1], draw[j + 1], offs[j + 1] = y1, y2, off
-
-    raw = raw[k:]
-    draw = draw[k:]
-    offs = offs[k:]
+    out = np.empty((3, m))  # phi, phi' and log offset per node, unnormalized
+    backend.shoot_phi(c, *out, A, ds, _RENORM_CAP)
+    raw, draw, offs = out[:, k:]
     ref = int(np.argmin(np.abs(grid.s)))
     ln_ref = math.log(raw[ref]) + offs[ref]
     factor = np.exp(offs - ln_ref)

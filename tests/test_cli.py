@@ -113,6 +113,24 @@ def test_sweep_too_few_blowups_keeps_results(tmp_path, capsys):
         assert (outdir / f"run_eps{eps}" / "verification.json").exists()
 
 
+def test_sweep_stopped_by_unbuildable_grid_keeps_finished_runs(tmp_path, capsys):
+    # At M = 0.5 the horizon gap leaves the normal doubles below s = -707.4;
+    # eps = 0.9 blows up at T ~ 220, so eps = 0.5 forecasts a grid past it.
+    outdir = tmp_path / "out"
+    code = main(["sweep", "--mass", "0.5", "--radius", "1", "--p", "2",
+                 "--epsilons", "0.9,0.5", "--ds", "0.1", "--tmax", "300",
+                 "--outdir", str(outdir)])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[0].startswith("schwave: sweep stopped at epsilon=0.5: ")
+    assert "t_max=878.4" in err[0] and "s below -707.4" in err[0]
+    assert len(err) == 2 and "have 1" in err[1]
+    lines = (outdir / "sweep.csv").read_text().strip().split("\n")
+    assert len(lines) == 2 and lines[1].endswith(",blew_up")
+    assert (outdir / "run_eps0.9" / "monitor.csv").exists()
+    assert not (outdir / "run_eps0.5").exists()
+
+
 def test_sweep_clears_earlier_sweep_outputs(tmp_path):
     # An earlier p = 1.75 sweep in the same outdir: its fit, plot data and
     # run directories must not survive beside a sweep that cannot be fitted.

@@ -1,4 +1,4 @@
-"""Equivalence of the compiled and numpy stepping kernels."""
+"""Equivalence of the compiled and numpy stepping kernels and phi shooters."""
 
 import math
 import platform
@@ -6,8 +6,11 @@ import platform
 import numpy as np
 import pytest
 
-from schwave import backend
+from schwave import _core_py, backend
 from schwave._core_py import leapfrog_window as py_kernel, taylor_first_step
+from schwave.coordinates import ModelParams, build_grid
+from schwave.potentials import potential_W
+from schwave.test_function import _RENORM_CAP, solve_phi
 
 
 def make_problem(n=500, seed=7):
@@ -271,3 +274,92 @@ def test_nan_propagates_to_every_result(name):
     res = kernel(v_prev, v_curr, np.zeros(n), W, h, phi, 2.0, 0.018,
                  1.0 / 0.02**2, 1, n - 2)
     assert all(np.isnan(x) for x in res)
+
+
+C_SHOOTER = getattr(backend._core_c, "shoot_phi", None)
+
+
+def shooter_coefficients(M, A, s0, ds, m, flat):
+    """c = W + A^2 at m nodes from s0 and their midpoints, as solve_phi builds it."""
+    s_all = s0 + 0.5 * ds * np.arange(2 * m - 1)
+    W = np.zeros(2 * m - 1) if flat else potential_W(M, s_all)
+    return W + A * A
+
+
+def shoot_both(c, A, ds):
+    m = (len(c) + 1) // 2
+    outs = []
+    for twin in (_core_py.shoot_phi, C_SHOOTER):
+        raw, draw, offs = np.empty(m), np.empty(m), np.empty(m)
+        assert twin(c, raw, draw, offs, A, ds, _RENORM_CAP) is None
+        outs.append((raw, draw, offs))
+    return outs
+
+
+@needs_c
+def test_c_shooter_matches_python_loop_bit_for_bit():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    # Wide s-ranges make phi pass the cap, so the log renormalisation runs.
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(M=st.floats(0.25, 4.0), A_rel=st.floats(0.2, 3.0),
+                      s0=st.floats(-200.0, 50.0), width=st.floats(1.0, 3000.0),
+                      m=st.integers(2, 4000), flat=st.booleans())
+    @hypothesis.example(M=1.0, A_rel=1.0, s0=-60.0, width=2500.0, m=4000, flat=False)
+    @hypothesis.example(M=1.0, A_rel=1.0, s0=-60.0, width=2500.0, m=4000, flat=True)
+    def check(M, A_rel, s0, width, m, flat):
+        A = A_rel / (2.0 * M)
+        ds = width / (m - 1)
+        c = shooter_coefficients(M, A, s0, ds, m, flat)
+        py, cc = shoot_both(c, A, ds)
+        for a, b in zip(py, cc):
+            np.testing.assert_array_equal(a, b)
+
+    check()
+
+
+@needs_c
+@pytest.mark.parametrize("flat", [False, True], ids=["schwarzschild", "flat"])
+def test_c_shooter_renormalises_like_python(flat):
+    c = shooter_coefficients(1.0, 0.5, -60.0, 0.05, 52_001, flat)
+    py, cc = shoot_both(c, 0.5, 0.05)
+    assert py[2][-1] > 2 * math.log(_RENORM_CAP)  # renormalised at least twice
+    for a, b in zip(py, cc):
+        np.testing.assert_array_equal(a, b)
+
+
+@needs_c
+@pytest.mark.parametrize("M", [0.5, 1.0, 2.0])
+def test_solve_phi_same_on_both_shooters(M, monkeypatch):
+    grid = build_grid(ModelParams(M=M, p=2.0, epsilon=1.0, R=1.0), -30.0, 400.0, 8601)
+    tables = []
+    for twin in (_core_py.shoot_phi, C_SHOOTER):
+        monkeypatch.setattr(backend, "shoot_phi", twin)
+        tables.append(solve_phi(grid, 1.0 / (2.0 * M)))
+    np.testing.assert_array_equal(tables[0].phi, tables[1].phi)
+    np.testing.assert_array_equal(tables[0].dphi, tables[1].dphi)
+
+
+# Each case maps the valid arguments (c, raw, draw, offs) to bad ones.
+BAD_SHOOTER_INPUTS = {
+    "strided_raw": lambda a: {**a, "raw": np.repeat(a["raw"], 2)[::2]},
+    "float32_c": lambda a: {**a, "c": a["c"].astype(np.float32)},
+    "int64_offs": lambda a: {**a, "offs": np.zeros(len(a["offs"]), dtype=np.int64)},
+    "2d_draw": lambda a: {**a, "draw": a["draw"].reshape(1, -1)},
+    "short_draw": lambda a: {**a, "draw": a["draw"][:-1]},
+    "long_offs": lambda a: {**a, "offs": np.empty(len(a["offs"]) + 1)},
+    "c_too_long": lambda a: {**a, "c": np.append(a["c"], 0.25)},
+    "c_too_short": lambda a: {**a, "c": a["c"][:-1]},
+    "empty": lambda a: {name: np.empty(0) for name in a},
+}
+
+
+@needs_c
+@pytest.mark.parametrize("case", BAD_SHOOTER_INPUTS)
+def test_c_shooter_rejects_bad_input(case):
+    m = 50
+    args = {"c": np.full(2 * m - 1, 0.25), "raw": np.empty(m), "draw": np.empty(m),
+            "offs": np.empty(m)}
+    with pytest.raises(ValueError):
+        C_SHOOTER(*BAD_SHOOTER_INPUTS[case](args).values(), 0.5, 0.05, _RENORM_CAP)
