@@ -7,7 +7,9 @@ window node, and the speedup.  One window is 20,003 nodes wide, not a
 multiple of the compiled kernel's 8 lanes, so its tail loop runs too.
 p = 1.6 sits outside backend.C_EXPONENTS, so the compiled columns show "-"
 there: the solver's dispatcher runs numpy at that exponent.  The header
-names the instruction set of the compiled copy the loader picked.
+names the instruction set of the compiled copy the loader picked
+("avx512f", "avx2" or "default"); on x86-64 glibc that is the widest
+clone the CPU runs, and every clone returns the same bits.
 
 A second table times the RK4 phi shooter (solve_phi's inner loop), the
 Python loop against the compiled twin, in microseconds per solve and

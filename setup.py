@@ -4,9 +4,10 @@ The package works without the extension (a numpy fallback is selected at
 import time), so any build failure here only costs speed, not features.
 No -march=native: fused multiply-adds would change rounding against the
 numpy twin, and -ffp-contract=off keeps compilers that default to
-contraction from fusing.  The kernel carries its own AVX2 clone (no FMA)
-on x86-64 glibc, chosen when the module loads.  -fno-math-errno lets the kernel's sqrt vectorize;
-its arguments are never negative and nothing reads errno.
+contraction from fusing.  The kernel carries its own AVX-512F and AVX2
+clones (no FMA) on x86-64 glibc, one chosen when the module loads.
+-fno-math-errno lets the kernel's sqrt vectorize; its arguments are never
+negative and nothing reads errno.
 """
 
 import warnings

@@ -2,7 +2,8 @@
 
 The compiled leapfrog_window has the same semantics for p in
 backend.C_EXPONENTS, except that values below DBL_MIN may flush to zero and
-its window sums add in a fixed 8-lane order; this module is its test oracle
+its window sums add in a fixed 8-lane order; both predictors multiply by
+1/dt, so v_next is bit-identical at p = 2.  This module is its test oracle
 and runs every other p and every forced step.  shoot_phi's twin is bit-identical.
 """
 
@@ -43,7 +44,7 @@ def leapfrog_window(v_prev, v_curr, v_next, W, h, phi, p, dt, inv_ds2, lo, hi,
     if forcing is not None:
         lin = lin + forcing[w]
     base = 2.0 * vc - vp
-    pred = (vc - vp) / dt
+    pred = (vc - vp) * (1.0 / dt)
     vn = base + dt2 * (lin + h[w] * _abs_pow(pred, p))
     vtc = (vn - vp) * (0.5 / dt)
     vn = base + dt2 * (lin + h[w] * _abs_pow(vtc, p))

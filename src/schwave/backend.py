@@ -4,7 +4,8 @@ The compiled extension is optional: BACKEND is "c" when it is built and
 "numpy" otherwise; the numpy kernel has identical semantics and the Python
 shoot_phi gives bit-identical phi.  Both kernels stay reachable through
 available_backends().  KERNEL_ISA names the instruction set of the compiled
-kernel copy in use ("avx2" or "default"; None on the numpy backend).
+kernel copy in use ("avx512f", "avx2" or "default"; None on the numpy
+backend).
 """
 
 from __future__ import annotations

@@ -192,13 +192,14 @@ def _validate_grid(grid: SpatialGrid) -> None:
         raise RuntimeError("lapse left the open interval (0, 1)")
 
 
-def grid_bounds_for(params: ModelParams, t_max: float) -> tuple[float, float]:
-    """Symmetric grid bounds for a run of horizon t_max.
+def grid_bounds_for(params: ModelParams, t_max: float, ds: float) -> tuple[float, float]:
+    """Symmetric grid bounds for a run of horizon t_max at spacing ds.
 
-    Unit propagation speed plus a 5M margin guarantees the boundary stays
-    causally disconnected from the data support for all t <= t_max.
+    Unit propagation speed plus a margin of 5M, and never fewer than 50
+    nodes, keeps the boundary causally disconnected from the data support
+    for all t <= t_max, with room for the leapfrog's numerical precursor.
     """
-    half = params.R + t_max + 5.0 * params.M
+    half = params.R + t_max + max(5.0 * params.M, 50.0 * ds)
     return -half, half
 
 
@@ -206,6 +207,6 @@ def sized_grid(params: ModelParams, t_max: float, ds: float) -> SpatialGrid:
     """Grid sized by ``grid_bounds_for`` with spacing no coarser than ds."""
     if ds <= 0:
         raise ValueError(f"spacing must be positive, got ds={ds}")
-    s_min, s_max = grid_bounds_for(params, t_max)
+    s_min, s_max = grid_bounds_for(params, t_max, ds)
     n = int(math.ceil((s_max - s_min) / ds)) + 1
     return build_grid(params, s_min, s_max, n)

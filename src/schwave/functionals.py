@@ -80,12 +80,11 @@ class MonitorSeries:
         return np.array([getattr(s, name) for s in self.samples])
 
     def to_csv(self, path) -> None:
+        row = ",".join(["%.17g"] * 8) + "\n"
         with open(path, "w", newline="\n") as fh:
             fh.write("t,L,J,G,F,Fprime,ratio_riccati,e_tM_G\n")
-            for s in self.samples:
-                row = (s.t, s.L, s.J, s.G, s.F, s.Fprime, s.ratio_riccati,
-                       s.e_tM_G(self.M))
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+            fh.writelines(row % (s.t, s.L, s.J, s.G, s.F, s.Fprime, s.ratio_riccati,
+                                 s.e_tM_G(self.M)) for s in self.samples)
 
 
 def linear_moment(state, table: TestFunctionTable, M: float) -> float:

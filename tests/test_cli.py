@@ -131,6 +131,20 @@ def test_sweep_stopped_by_unbuildable_grid_keeps_finished_runs(tmp_path, capsys)
     assert not (outdir / "run_eps0.5").exists()
 
 
+def test_small_mass_sweep_keeps_the_precursor_off_the_boundary(tmp_path, capsys):
+    # At M = 0.2 and ds = 0.1 a 5M margin is only 10 nodes; the leapfrog's
+    # numerical precursor reached the boundary and stopped the sweep at eps = 1.
+    # (The exit code is 1 either way: the checks fail at eps = 4 and 2.)
+    outdir = tmp_path / "out"
+    main(["sweep", "--mass", "0.2", "--radius", "1", "--p", "2",
+          "--epsilons", "4,2,1", "--ds", "0.1", "--tmax", "60",
+          "--outdir", str(outdir)])
+    assert capsys.readouterr().err == ""
+    lines = (outdir / "sweep.csv").read_text().strip().split("\n")
+    assert len(lines) == 4 and all(ln.endswith(",blew_up") for ln in lines[1:])
+    assert (outdir / "fit.json").exists()
+
+
 def test_sweep_clears_earlier_sweep_outputs(tmp_path):
     # An earlier p = 1.75 sweep in the same outdir: its fit, plot data and
     # run directories must not survive beside a sweep that cannot be fitted.

@@ -138,6 +138,8 @@ def test_series_csv_round_trip(tmp_path):
                                         Fprime=0.125, ratio_riccati=2.0))
     series.samples.append(MonitorSample(t=0.1, L=0.6, J=0.01, G=0.345, F=0.255,
                                         Fprime=0.13, ratio_riccati=2.1))
+    special = (0.2, math.inf, -math.inf, -0.0, math.nan, 5e-324, 1e-310)
+    series.samples.append(MonitorSample(*special))
     path = tmp_path / "monitor.csv"
     series.to_csv(path)
     rows = path.read_text().strip().split("\n")
@@ -145,6 +147,8 @@ def test_series_csv_round_trip(tmp_path):
     got = [float(tok) for tok in rows[1].split(",")]
     assert got[:7] == [0.0, 0.5, 0.0, 0.25, 0.25, 0.125, 2.0]
     assert got[7] == pytest.approx(0.25)  # e^{0} G
+    # Non-finite values, signed zeros and subnormals print as %.17g does.
+    assert rows[3] == ",".join(f"{v:.17g}" for v in special + (-0.0,))
 
 
 def test_integral_bound_examples():

@@ -61,16 +61,36 @@ def test_backends_agree_into_subnormals(p):
         assert not np.any((out_c != 0.0) & (np.abs(out_c) < tiny))
 
 
-@needs_c
-def test_c_kernel_steps_bit_identically_at_p2():
-    # p = 2 squares, as numpy does; no subnormals arise here, so an FMA
-    # contraction in any compiled copy would show as a changed bit.
+# (lo, width): the whole interior, then widths 8k + r (r != 0) at lo not
+# 1 mod 8, so the compiled copy's vector body and its tail loop both run.
+WINDOWS = [(1, 498), (2, 8 * 37 + 3), (7, 8 * 5 + 5), (100, 8 * 20 + 7), (13, 8 * 1 + 1)]
+
+
+def make_tail_problem(dt):
+    """make_problem in a blow-up tail: |v_t| ~ 100 and h up to 2, so the
+    nonlinear term dominates the step and the predictor's rounding reaches
+    v_next (in the smooth problem it is absorbed)."""
     v_prev, v_curr, W, h, phi = make_problem()
+    s = np.linspace(-5, 5, len(v_curr))
+    speed = 100.0 * np.random.default_rng(3).uniform(0.5, 1.0, len(s)) * np.exp(-s**2)
+    return v_curr - dt * speed, v_curr, W, 10.0 * h, phi
+
+
+@needs_c
+@pytest.mark.parametrize("tail", [False, True], ids=["smooth", "tail"])
+@pytest.mark.parametrize("dt", [0.018, 0.045])
+def test_c_kernel_steps_bit_identically_at_p2(dt, tail):
+    # p = 2 squares, as numpy does; no subnormals arise here, so an FMA
+    # contraction in any compiled copy, or a predictor that is not the
+    # numpy twin's multiply by 1/dt, would show as a changed bit.
+    v_prev, v_curr, W, h, phi = make_tail_problem(dt) if tail else make_problem()
     n = len(v_curr)
-    out_py, out_c = np.zeros(n), np.zeros(n)
-    py_kernel(v_prev, v_curr, out_py, W, h, phi, 2.0, 0.018, 1.0 / 0.02**2, 1, n - 2)
-    C_KERNEL(v_prev, v_curr, out_c, W, h, phi, 2.0, 0.018, 1.0 / 0.02**2, 1, n - 2)
-    np.testing.assert_array_equal(out_c, out_py)
+    for lo, width in WINDOWS:
+        hi = lo + width - 1
+        out_py, out_c = np.zeros(n), np.zeros(n)
+        py_kernel(v_prev, v_curr, out_py, W, h, phi, 2.0, dt, 1.0 / 0.02**2, lo, hi)
+        C_KERNEL(v_prev, v_curr, out_c, W, h, phi, 2.0, dt, 1.0 / 0.02**2, lo, hi)
+        np.testing.assert_array_equal(out_c, out_py, err_msg=f"lo={lo} width={width}")
 
 
 def abs_pow(a, q):
@@ -113,11 +133,11 @@ def lane_sums(v_next, v_prev, h, phi, p, dt, lo, hi, lanes=8):
 @pytest.mark.parametrize("p", [1.0, 1.25, 1.5, 1.75, 2.0])
 def test_c_sums_follow_lane_order(p):
     # Exact equality pins the summation order, and with it that every
-    # compiled copy (SSE2 or AVX2) returns the same sums.
+    # compiled copy (SSE2, AVX2 or AVX-512) returns the same sums.
     v_prev, v_curr, W, h, phi = make_problem(n=4000)
     dt = 0.018
     for lo in (1, 2, 7, 100):
-        for width in list(range(21)) + [3001]:
+        for width in list(range(21)) + [8 * 37 + 3, 8 * 125 + 7, 3001]:
             hi = lo + width - 1
             out = np.zeros(len(v_curr))
             res = C_KERNEL(v_prev, v_curr, out, W, h, phi, p, dt, 1.0 / 0.02**2,
@@ -144,7 +164,7 @@ def test_c_nan_in_one_lane_reaches_every_result(offset):
 def test_kernel_isa_reported():
     from schwave import _core_c
 
-    assert _core_c.ISA in ("avx2", "default")
+    assert _core_c.ISA in ("avx512f", "avx2", "default")
     assert backend.KERNEL_ISA == (_core_c.ISA if backend.BACKEND == "c" else None)
 
 
