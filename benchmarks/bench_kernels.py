@@ -4,7 +4,10 @@
 Times the single-step leapfrog update (the solver's hot loop) on synthetic
 problems of several sizes and prints microseconds per step, nanoseconds per
 window node, and the speedup.  One window is 20,003 nodes wide, not a
-multiple of the compiled kernel's 8 lanes, so its tail loop runs too.
+multiple of the compiled kernel's 8 lanes, so its tail loop runs too;
+another is 10,882 nodes, the mean window of perfbench's sweep-p2 workload.
+A last row gives the fixed cost of one call on an empty window (lo > hi) in
+microseconds: the argument parsing and buffer checks every step pays.
 p = 1.6 sits outside backend.C_EXPONENTS, so the compiled columns show "-"
 there: the solver's dispatcher runs numpy at that exponent.  The header
 names the instruction set of the compiled copy the loader picked
@@ -43,17 +46,18 @@ def make_problem(n, rng):
     return v_prev, v_curr, np.zeros(n), W, h, phi
 
 
-def time_kernel(kernel, arrays, p, steps):
+def time_kernel(kernel, arrays, p, steps, lo=1, hi=None):
     # Fixed inputs (no buffer rotation): keeps the synthetic problem bounded
     # so no run drifts into inf/nan arithmetic and skews the timing.
     v_prev, v_curr, v_next, W, h, phi = arrays
     n = len(v_curr)
+    hi = n - 2 if hi is None else hi
     dt = 0.9 * (100.0 / (n - 1))
     inv_ds2 = 1.0 / (100.0 / (n - 1)) ** 2
-    kernel(v_prev, v_curr, v_next, W, h, phi, p, dt, inv_ds2, 1, n - 2)
+    kernel(v_prev, v_curr, v_next, W, h, phi, p, dt, inv_ds2, lo, hi)
     t0 = time.perf_counter()
     for _ in range(steps):
-        kernel(v_prev, v_curr, v_next, W, h, phi, p, dt, inv_ds2, 1, n - 2)
+        kernel(v_prev, v_curr, v_next, W, h, phi, p, dt, inv_ds2, lo, hi)
     return (time.perf_counter() - t0) / steps * 1e6
 
 
@@ -96,7 +100,7 @@ def main():
     print(f"{'width':>8} {'p':>5}" + "".join(f"{name + ' us/step':>16}{'ns/node':>9}"
                                              for name in backends)
           + ("  speedup" if len(backends) > 1 else ""))
-    for n in (2_002, 20_002, 20_005, 200_002):
+    for n in (2_002, 10_884, 20_002, 20_005, 200_002):
         for p in (1.5, 1.6, 1.75, 2.0):
             arrays = make_problem(n, rng)
             times = {name: time_kernel(k, tuple(a.copy() for a in arrays), p,
@@ -110,6 +114,10 @@ def main():
             if "c" in times:
                 row += f"  {times['numpy'] / times['c']:>7.1f}x"
             print(row)
+    arrays = make_problem(2_002, rng)
+    print(f"{'empty':>8} {2.0:>5}" + "".join(
+        f"{time_kernel(k, arrays, 2.0, 100 * args.steps, 10, 9):>16.2f}{'-':>9}"
+        for k in backends.values()))
     shooter_table(args.solves)
 
 

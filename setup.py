@@ -17,7 +17,15 @@ from setuptools.command.build_ext import build_ext
 
 
 class OptionalBuildExt(build_ext):
-    """Skip the extension instead of failing the install on build errors."""
+    """Skip the extension instead of failing the install on build errors.
+
+    Always recompiles: the up-to-date check compares file times only, so a
+    module newer than an edited _core_c.c would otherwise be kept.
+    """
+
+    def finalize_options(self):
+        super().finalize_options()
+        self.force = True
 
     def run(self):
         try:

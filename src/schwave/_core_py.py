@@ -3,7 +3,8 @@
 The compiled leapfrog_window has the same semantics for p in
 backend.C_EXPONENTS, except that values below DBL_MIN may flush to zero and
 its window sums add in a fixed 8-lane order; both predictors multiply by
-1/dt, so v_next is bit-identical at p = 2.  This module is its test oracle
+1/dt, so v_next is bit-identical at p = 2.  It also raises ValueError when
+v_next shares memory with an input.  This module is its test oracle
 and runs every other p and every forced step.  shoot_phi's twin is bit-identical.
 """
 

@@ -142,10 +142,8 @@ def _cmd_phi(args) -> int:
     resid = np.zeros(grid.n)
     resid[1:-1] = table.residual()
     decay = np.exp(-A * grid.s) * table.phi
-    with open(args.out, "w", newline="\n") as fh:
-        fh.write("s,phi,dphi,residual,exp_minus_As_phi\n")
-        for row in zip(grid.s, table.phi, table.dphi, resid, decay):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    _write_table(args.out, "s,phi,dphi,residual,exp_minus_As_phi",
+                 (grid.s, table.phi, table.dphi, resid, decay))
     print(f"wrote {args.out} (A={A:.6g}, n={grid.n}, "
           f"max rel residual {table.max_relative_residual():.3e})")
     return 0
@@ -169,16 +167,21 @@ def _cmd_solve(args) -> int:
     report.to_json(args.out / "verification.json")
     comparison = comparison_check(series, report.C_emp, T_num=record.T_num)
     for t_snap, v, vt in series.snapshots:
-        u = physical_field_u(v, grid)
-        with open(args.out / f"field_t{t_snap:g}.csv", "w", newline="\n") as fh:
-            fh.write("s,v,vt,u\n")
-            for row in zip(grid.s, v, vt, u):
-                fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+        _write_table(args.out / f"field_t{t_snap:g}.csv", "s,v,vt,u",
+                     (grid.s, v, vt, physical_field_u(v, grid)))
     print(f"status={record.status} T_num={record.T_num:.6g} "
           f"C_emp={report.C_emp:.4g} checks_passed={report.passed} "
           f"comparison_passed={comparison.passed}")
     valid = record.status != STATUS_BOUNDARY_CONTACT
     return 0 if (report.passed and comparison.passed and valid) else 1
+
+
+def _write_table(path, header: str, columns) -> None:
+    """CSV of equal-length float64 arrays, every value as %.17g."""
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header + "\n")
+        fh.writelines(row % r for r in zip(*columns))
 
 
 def _cmd_riccati(args) -> int:

@@ -170,3 +170,18 @@ def test_fit_too_few_records(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "have 2" in err[0]
     assert not (tmp_path / "fit.json").exists()
+
+
+def test_sweep_files_are_byte_identical_across_repeats(tmp_path, capsys):
+    # Reads of uninitialised or wrongly aliased memory in the compiled kernel
+    # would show as a changed byte between two identical sweeps.
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for outdir in outs:
+        main(["sweep", "--mass", "0.2", "--radius", "1", "--p", "2",
+              "--epsilons", "4,2,1", "--ds", "0.1", "--tmax", "60",
+              "--outdir", str(outdir)])
+    names = ["sweep.csv", "fit.json"] + [
+        f"run_eps{eps}/{name}" for eps in (4, 2, 1)
+        for name in ("monitor.csv", "verification.json")]
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name

@@ -177,30 +177,53 @@ def test_c_kernel_restores_fp_mode():
     assert np.float64(1e-308) / 10 > 0
 
 
-# Each case: (argument, replacement or function of the valid argument).
+def sharing_h(a):
+    """h and v_next as views three nodes apart in one buffer."""
+    buf = np.concatenate([a["h"], np.zeros(3)])
+    return {**a, "h": buf[:-3], "v_next": buf[3:]}
+
+
+# Each case maps the valid arguments to bad ones.
 BAD_INPUTS = {
-    "strided": ("v_prev", lambda a: np.repeat(a, 2)[::2]),
-    "float32": ("W", lambda a: a.astype(np.float32)),
-    "short": ("phi", lambda a: a[:-1]),
-    "lo_below_1": ("lo", 0),
-    "hi_past_n_minus_2": ("hi", 499),
-    "p_1.6": ("p", 1.6),
-    "p_2.5": ("p", 2.5),
+    "strided": lambda a: {**a, "v_prev": np.repeat(a["v_prev"], 2)[::2]},
+    "float32": lambda a: {**a, "W": a["W"].astype(np.float32)},
+    "short": lambda a: {**a, "phi": a["phi"][:-1]},
+    "lo_below_1": lambda a: {**a, "lo": 0},
+    "hi_past_n_minus_2": lambda a: {**a, "hi": 499},
+    "p_1.6": lambda a: {**a, "p": 1.6},
+    "p_2.5": lambda a: {**a, "p": 2.5},
+    "v_next_is_v_curr": lambda a: {**a, "v_next": a["v_curr"]},
+    "v_next_shares_h": sharing_h,
 }
+
+
+def kernel_args():
+    v_prev, v_curr, W, h, phi = make_problem()
+    n = len(v_curr)
+    return {"v_prev": v_prev, "v_curr": v_curr, "v_next": np.zeros(n), "W": W,
+            "h": h, "phi": phi, "p": 2.0, "dt": 0.018, "inv_ds2": 1.0 / 0.02**2,
+            "lo": 1, "hi": n - 2}
 
 
 @needs_c
 @pytest.mark.parametrize("case", BAD_INPUTS)
 def test_c_kernel_rejects_bad_input(case):
-    v_prev, v_curr, W, h, phi = make_problem()
-    n = len(v_curr)
-    args = {"v_prev": v_prev, "v_curr": v_curr, "v_next": np.zeros(n), "W": W,
-            "h": h, "phi": phi, "p": 2.0, "dt": 0.018, "inv_ds2": 1.0 / 0.02**2,
-            "lo": 1, "hi": n - 2}
-    key, bad = BAD_INPUTS[case]
-    args[key] = bad(args[key]) if callable(bad) else bad
     with pytest.raises(ValueError):
-        C_KERNEL(*args.values())
+        C_KERNEL(*BAD_INPUTS[case](kernel_args()).values())
+
+
+@needs_c
+def test_c_kernel_accepts_aliased_inputs_and_adjacent_v_next():
+    # Only v_next is written, so the inputs may share memory with each other,
+    # and v_next may end exactly where an input begins.
+    a = kernel_args()
+    n = len(a["v_curr"])
+    buf = np.concatenate([np.zeros(n), a["v_curr"]])
+    shared = {**a, "v_prev": buf[n:], "v_curr": buf[n:], "v_next": buf[:n],
+              "W": a["h"]}
+    separate = {**a, "v_prev": a["v_curr"].copy(), "W": a["h"].copy()}
+    assert C_KERNEL(*shared.values()) == C_KERNEL(*separate.values())
+    np.testing.assert_array_equal(shared["v_next"], separate["v_next"])
 
 
 def kernel_or_skip(name):
